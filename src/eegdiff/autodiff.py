@@ -16,6 +16,13 @@ Design notes:
   graph, so constant subcomputations stay cheap,
 * ``backward()`` resets gradients before accumulating, so calling it twice
   yields identical results.
+
+Primitives (also reachable by name through :data:`PRIMITIVES`): elementwise
+``add``/``sub``/``mul``/``div``/``power``/``exp``/``log``/``abs_``/
+``minimum``/``relu``/``sigmoid``; ``matmul``; reductions and normalizers
+``sum_``/``mean``/``softmax``/``standardize``/``cosine_similarity``; and
+structural ``reshape``/``transpose``/``concat``/``pad_last2``/``crop_last2``
+and ``im2col3x3``, the 3x3 patch unfold behind ``diffusion.Conv3x3``.
 """
 
 from __future__ import annotations
@@ -600,6 +607,42 @@ def crop_last2(x, top: int, left: int, height: int, width: int) -> Tensor:
     return out
 
 
+def im2col3x3(x) -> Tensor:
+    """Unfold the 3x3 zero-padded neighbourhoods of a (B, C, H, W) tensor.
+
+    Returns the (B*H*W, 9*C) patch matrix of a same-padding 3x3 convolution
+    (Chellapilla et al. 2006): row ``(b, i, j)`` holds ``x[b, c, i+dy-1,
+    j+dx-1]`` at column ``(dy*3 + dx)*C + c``, zero outside the image.  The
+    forward pass is one copy out of a strided window view of a channel-last
+    padded buffer; the backward pass adds the nine shifted gradient slabs
+    into one padded buffer in ascending ``(dy, dx)`` order.
+    """
+    x = as_tensor(x)
+    if x.ndim != 4:
+        raise ShapeError(f"im2col3x3 requires (batch, channels, H, W), got {x.shape}")
+    b, c, h, w = x.shape
+    padded = np.zeros((b, h + 2, w + 2, c))
+    padded[:, 1:-1, 1:-1, :] = x.data.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
+    if b == 1:
+        # Conv3x3 outputs at batch 1 have always come from a column-major
+        # patch matrix; BLAS rounds each layout differently, so keep it.
+        cols = np.asfortranarray(cols)
+    out = _make(cols, (x,), None, "im2col3x3")
+
+    def backward():
+        g = out.grad.reshape(b, h, w, 3, 3, c)
+        acc = np.zeros((b, h + 2, w + 2, c))
+        for dy in range(3):
+            for dx in range(3):
+                acc[:, dy : dy + h, dx : dx + w, :] += g[:, :, :, dy, dx, :]
+        x._accumulate(acc[:, 1:-1, 1:-1, :].transpose(0, 3, 1, 2))
+
+    out._backward = backward if out._parents else None
+    return out
+
+
 # -- primitive dispatch and gradient checking ------------------------------
 
 PRIMITIVES: dict[str, Callable[..., Tensor]] = {
@@ -627,6 +670,7 @@ PRIMITIVES: dict[str, Callable[..., Tensor]] = {
     "cosine-similarity": cosine_similarity,
     "pad-last2": pad_last2,
     "crop-last2": crop_last2,
+    "im2col3x3": im2col3x3,
 }
 
 

@@ -128,7 +128,12 @@ def timestep_embedding(t, dim: int, max_period: float = 10000.0) -> np.ndarray:
 
 
 class Conv3x3:
-    """3x3 same-padding convolution as shifted-patch concat + one matmul."""
+    """3x3 same-padding convolution: one im2col unfold plus one matmul.
+
+    ``ad.im2col3x3`` turns (B, c_in, H, W) into the (B*H*W, 9*c_in) patch
+    matrix with columns ordered (dy, dx, c); ``w`` is (9*c_in, c_out) in the
+    same row order.
+    """
 
     def __init__(self, rng: np.random.Generator, c_in: int, c_out: int):
         self.c_in, self.c_out = c_in, c_out
@@ -139,13 +144,7 @@ class Conv3x3:
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise ShapeError(f"conv expects (batch, {self.c_in}, H, W), got {x.shape}")
         b, _, h, w = x.shape
-        padded = ad.pad_last2(x, 1)
-        patches = [
-            ad.crop_last2(padded, dy, dx, h, w) for dy in range(3) for dx in range(3)
-        ]
-        stacked = ad.concat(patches, axis=1)  # (B, 9*c_in, H, W)
-        tokens = stacked.transpose(0, 2, 3, 1).reshape(b * h * w, 9 * self.c_in)
-        y = ad.add(ad.matmul(tokens, self.w), self.b)
+        y = ad.add(ad.matmul(ad.im2col3x3(x), self.w), self.b)
         return y.reshape(b, h, w, self.c_out).transpose(0, 3, 1, 2)
 
     def params(self) -> dict[str, Tensor]:

@@ -183,7 +183,7 @@ class SignalAutoencoder:
         return state
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
-        assign_state(self.params(), state)
+        assign_state(self.params(), state, self.buffers())
         self.temporal.bn.load_buffers(
             {
                 "running_mean": state["temporal.bn.running_mean"],

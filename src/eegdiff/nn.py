@@ -104,11 +104,22 @@ class BatchNorm:
         self.running_var = np.array(entries["running_var"], dtype=np.float64)
 
 
-def assign_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
-    """Copy arrays into parameter tensors by name, validating shapes."""
+def assign_state(params: dict[str, Tensor], state: dict[str, np.ndarray], buffers=()) -> None:
+    """Copy arrays into parameter tensors by name, validating names and shapes.
+
+    ``state`` must hold exactly the names in ``params`` plus ``buffers`` (the
+    non-trainable entries the caller loads itself).  A missing or extra name,
+    as from a checkpoint written under another config, raises
+    :class:`ConfigError` listing both.
+    """
+    expected = set(params) | set(buffers)
+    missing, unexpected = sorted(expected - set(state)), sorted(set(state) - expected)
+    if missing or unexpected:
+        raise ConfigError(
+            f"state does not match the model (saved under another config?): "
+            f"missing {missing}, unexpected {unexpected}"
+        )
     for name, tensor in params.items():
-        if name not in state:
-            raise KeyError(f"missing parameter {name!r} in state")
         value = np.asarray(state[name], dtype=np.float64)
         if value.shape != tensor.data.shape:
             raise ShapeError(

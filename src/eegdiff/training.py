@@ -544,6 +544,9 @@ def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, fl
             "pad-last2": (lambda x: ad.sum_(ad.mul(ad.pad_last2(x, 1), w56)), rng.normal(size=(3, 4))),
             "crop-last2": (lambda x: ad.sum_(ad.mul(ad.crop_last2(x, 1, 1, 2, 2), w22)), rng.normal(size=(3, 4))),
         }
+        # drawn after the cases above so their points stay the same
+        w_cols = Tensor(rng.normal(size=(12, 18)))
+        cases["im2col3x3"] = (lambda x: ad.sum_(ad.mul(ad.im2col3x3(x), w_cols)), rng.normal(size=(2, 2, 2, 3)))
         return cases
 
     # primitives: audit each kind, report the worst

@@ -162,6 +162,12 @@ def test_pad_crop_guards():
         ad.crop_last2(Tensor(np.ones(3)), 0, 0, 1, 1)
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 2, 3, 4, 5)])
+def test_im2col3x3_requires_4d(shape):
+    with pytest.raises(ShapeError):
+        ad.im2col3x3(Tensor(np.ones(shape)))
+
+
 def test_primitive_registry_dispatch(rng):
     a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
     out = ad.primitive("add", Tensor(a), Tensor(b))

@@ -8,6 +8,7 @@ from eegdiff.autodiff import ShapeError, Tensor
 from eegdiff.diffusion import (
     ADAPTER_TOKENS,
     ConditionAdapter,
+    Conv3x3,
     DenoiserConfig,
     Stage2Model,
     adapt,
@@ -104,6 +105,53 @@ def test_pool_and_upsample_inverse_on_constant():
         avg_pool2(Tensor(np.ones((1, 1, 3, 4))))
 
 
+# -- Conv3x3 --------------------------------------------------------------------
+
+
+def padded_crop_conv(conv, x):
+    """Reference Conv3x3 from pad_last2, nine crop_last2 windows and concat."""
+    b, _, h, w = x.shape
+    padded = ad.pad_last2(x, 1)
+    patches = [ad.crop_last2(padded, dy, dx, h, w) for dy in range(3) for dx in range(3)]
+    tokens = ad.concat(patches, axis=1).transpose(0, 2, 3, 1).reshape(b * h * w, 9 * conv.c_in)
+    y = ad.add(ad.matmul(tokens, conv.w), conv.b)
+    return y.reshape(b, h, w, conv.c_out).transpose(0, 3, 1, 2)
+
+
+def loop_conv(conv, x):
+    """Plain-loop 3x3 same-padding convolution with weight rows (dy, dx, c)."""
+    b, c_in, h, w = x.shape
+    kernel = conv.w.data.reshape(3, 3, c_in, conv.c_out)
+    padded = np.pad(x, [(0, 0), (0, 0), (1, 1), (1, 1)])
+    out = np.zeros((b, conv.c_out, h, w))
+    for i in range(h):
+        for j in range(w):
+            for dy in range(3):
+                for dx in range(3):
+                    out[:, :, i, j] += padded[:, :, i + dy, j + dx] @ kernel[dy, dx]
+    return out + conv.b.data[None, :, None, None]
+
+
+@pytest.mark.parametrize(
+    "shape,c_out", [((64, 32, 8, 8), 32), ((1, 4, 4, 6), 3), ((3, 2, 5, 2), 4), ((2, 3, 1, 1), 2)]
+)
+def test_conv3x3_matches_padded_crop_reference(shape, c_out):
+    rng = np.random.default_rng(7)
+    conv = Conv3x3(rng, shape[1], c_out)
+    conv.b.data = rng.normal(size=c_out)
+    x_data = rng.normal(size=shape)
+    weight = Tensor(rng.normal(size=(shape[0], c_out) + shape[2:]))
+    runs = []
+    for forward in (conv, lambda x: padded_crop_conv(conv, x)):
+        x = Tensor(x_data, requires_grad=True)
+        y = forward(x)
+        ad.sum_(ad.mul(y, weight)).backward()
+        runs.append((y.data, x.grad, conv.w.grad.copy(), conv.b.grad.copy()))
+    for new, old in zip(*runs):
+        np.testing.assert_array_equal(new, old)
+    np.testing.assert_allclose(runs[0][0], loop_conv(conv, x_data), rtol=1e-12, atol=1e-12)
+
+
 # -- model and mask ---------------------------------------------------------------
 
 
@@ -176,6 +224,13 @@ def test_state_round_trip(rng):
     clone.load_state(model.state())
     x = rng.normal(size=(2, 2, 4, 4))
     np.testing.assert_array_equal(model.denoise(x, 3).data, clone.denoise(x, 3).data)
+
+
+def test_load_state_rejects_foreign_names():
+    state = tiny_model().state()
+    state["unet.extra.w"] = state.pop("unet.mid.w")
+    with pytest.raises(ConfigError, match=r"missing \['unet\.mid\.w'\], unexpected \['unet\.extra\.w'\]"):
+        tiny_model().load_state(state)
 
 
 def test_class_target_latents_unit_rms():

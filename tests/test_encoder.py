@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -72,9 +74,18 @@ def test_state_round_trip(rng):
 def test_load_state_missing_key(rng):
     model = SignalAutoencoder(TINY, rng)
     state = model.state()
-    state.pop(sorted(state)[0])
+    key = sorted(state)[0]
+    state.pop(key)
     clone = SignalAutoencoder(TINY, np.random.default_rng(0))
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match=re.escape(f"missing ['{key}']")):
+        clone.load_state(state)
+
+
+def test_load_state_unexpected_key(rng):
+    model = SignalAutoencoder(TINY, rng)
+    state = model.state() | {"spatial9.q.w": np.zeros((2, 2))}
+    clone = SignalAutoencoder(TINY, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match=re.escape("unexpected ['spatial9.q.w']")):
         clone.load_state(state)
 
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -226,6 +227,35 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["gen-data", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def write_config(path, cfg, **changes):
+    path.write_text(json.dumps(cfg.to_dict() | changes))
+    return ["--config", str(path)]
+
+
+@pytest.fixture(scope="module")
+def deep_run(ws, tmp_path_factory):
+    """A depth-2 stage-1 checkpoint trained on the workspace's dataset."""
+    root = tmp_path_factory.mktemp("deep")
+    changes = {"data_dir": str(ws.cfg.resolved_data_dir), "out_dir": str(root / "run")}
+    argv = write_config(root / "config.json", ws.cfg, depth=2, epochs_stage1=1, **changes)
+    assert main(["train-stage1", *argv]) == 0
+    return SimpleNamespace(root=root, changes=changes)
+
+
+@pytest.mark.parametrize("direction", ["missing", "unexpected"])
+def test_checkpoint_config_mismatch_exits_1(ws, deep_run, direction, capsys):
+    if direction == "missing":  # depth-1 checkpoint, depth-2 config
+        argv = write_config(deep_run.root / "deeper.json", ws.cfg, depth=2)
+    else:  # depth-2 checkpoint, depth-1 config
+        argv = write_config(deep_run.root / "shallow.json", ws.cfg, **deep_run.changes)
+    capsys.readouterr()
+    assert main(["eval-retrieval", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{direction} ['spatial1." in err
+    assert not (Path(deep_run.changes["out_dir"]) / "eval" / "retrieval.csv").exists()
 
 
 def test_gen_data_deterministic_and_seed_sensitive(ws, tmp_path):
