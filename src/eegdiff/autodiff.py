@@ -9,11 +9,21 @@ every tensor created with ``requires_grad=True``.
 Design notes:
 
 * everything is float64; inputs are coerced on construction,
-* any tensor holding NaN/Inf raises :class:`NonFiniteError` immediately,
-  naming the operation that produced it (overflowing ops error rather than
-  clamp),
-* operations whose inputs all have ``requires_grad=False`` do not extend the
-  graph, so constant subcomputations stay cheap,
+* the non-finite probe runs where a NaN/Inf can be born: on every leaf and
+  on every op that can turn finite inputs non-finite (arithmetic,
+  ``exp``/``log``/``power``, ``matmul``, reductions and normalizers), which
+  raises :class:`NonFiniteError` naming the op (overflowing ops error rather
+  than clamp).  Copy, selection and bounded ops (:data:`FINITE_PRESERVING`)
+  skip it: their inputs were probed when they were made,
+* an op extends the graph only when some input has ``requires_grad`` and
+  gradients are enabled; inside :func:`no_grad` no op records parents, so
+  eval-mode passes build no graph,
+* a backward closure computes and accumulates a parent's gradient only when
+  that parent has ``requires_grad``, so frozen weights and constants cost no
+  backward work (the activity analysis of Griewank & Walther),
+* graphs are acyclic: a closure receives the output gradient as its argument
+  and holds input tensors and arrays, never its own output, so reference
+  counting frees a graph as soon as its root is dropped,
 * ``backward()`` resets gradients before accumulating, so calling it twice
   yields identical results.
 
@@ -27,6 +37,7 @@ and ``im2col3x3``, the 3x3 patch unfold behind ``diffusion.Conv3x3``.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -40,13 +51,34 @@ class NonFiniteError(FloatingPointError):
     """An operation produced NaN or Inf."""
 
 
+# Ops whose outputs are copies, selections or bounded maps of their inputs:
+# finite inputs, which were probed when they were made, give finite outputs.
+FINITE_PRESERVING = frozenset(
+    {"reshape", "transpose", "concat", "pad_last2", "crop_last2", "im2col3x3",
+     "relu", "abs", "minimum", "sigmoid", "softmax"}
+)
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: every op result is a constant."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
+
+
 def _check_finite(arr: np.ndarray, op: str) -> None:
     if arr.size == 0:
         return
-    # min+max propagate NaN and turn opposite Infs into NaN; one scalar test
-    # instead of a full boolean temporary.
-    probe = arr.min() + arr.max()
-    if not np.isfinite(probe):
+    # min and max propagate NaN and reach any Inf: two scalar tests instead
+    # of a full boolean temporary.  (Their sum would overflow on finite
+    # values near the float64 limit.)
+    if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise NonFiniteError(f"operation '{op}' produced non-finite values")
 
 
@@ -65,11 +97,12 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, _op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        _check_finite(self.data, _op)
+        if _op not in FINITE_PRESERVING:
+            _check_finite(self.data, _op)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._op = _op
 
     @property
@@ -133,10 +166,8 @@ class Tensor:
             node.grad = None
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if node._backward is not None:
-                if node.grad is None:
-                    continue
-                node._backward()
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
 
         leaves: dict[Tensor, np.ndarray] = {}
         for node in order:
@@ -202,9 +233,9 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[], None], op: str) -> Tensor:
+def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None], op: str) -> Tensor:
     out = Tensor(data, _op=op)
-    if any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -228,55 +259,50 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out_data = a.data + b.data
-    out = _make(out_data, (a, b), None, "add")
 
-    def backward():
-        g = out.grad
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(a.data + b.data, (a, b), backward, "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data - b.data, (a, b), None, "sub")
 
-    def backward():
-        g = out.grad
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(-g, b.data.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.data.shape))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(a.data - b.data, (a, b), backward, "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data * b.data, (a, b), None, "mul")
 
-    def backward():
-        g = out.grad
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(a.data * b.data, (a, b), backward, "mul")
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = _make(a.data / b.data, (a, b), None, "div")
 
-    def backward():
-        g = out.grad
-        a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(a.data / b.data, (a, b), backward, "div")
 
 
 def matmul(a, b) -> Tensor:
@@ -285,17 +311,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul requires ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = _make(np.matmul(a.data, b.data), (a, b), None, "matmul")
 
-    def backward():
-        g = out.grad
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        a._accumulate(_unbroadcast(ga, a.data.shape))
-        b._accumulate(_unbroadcast(gb, b.data.shape))
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(np.matmul(a.data, b.data), (a, b), backward, "matmul")
 
 
 def power(x, exponent: float) -> Tensor:
@@ -303,16 +326,14 @@ def power(x, exponent: float) -> Tensor:
     p = float(exponent)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         data = x.data ** p
-    out = _make(data, (x,), None, "power")
 
-    def backward():
+    def backward(g):
         if p == 0.0:
             x._accumulate(np.zeros_like(x.data))
             return
-        x._accumulate(out.grad * p * x.data ** (p - 1.0))
+        x._accumulate(g * p * x.data ** (p - 1.0))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(data, (x,), backward, "power")
 
 
 def sqrt(x) -> Tensor:
@@ -323,77 +344,66 @@ def exp(x) -> Tensor:
     x = as_tensor(x)
     with np.errstate(over="ignore"):
         data = np.exp(x.data)
-    out = _make(data, (x,), None, "exp")
 
-    def backward():
-        x._accumulate(out.grad * out.data)
+    def backward(g):
+        x._accumulate(g * data)
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(data, (x,), backward, "exp")
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(x.data)
-    out = _make(data, (x,), None, "log")
 
-    def backward():
-        x._accumulate(out.grad / x.data)
+    def backward(g):
+        x._accumulate(g / x.data)
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(data, (x,), backward, "log")
 
 
 def abs_(x) -> Tensor:
     """Elementwise absolute value; subgradient 0 at 0."""
     x = as_tensor(x)
-    out = _make(np.abs(x.data), (x,), None, "abs")
 
-    def backward():
-        x._accumulate(out.grad * np.sign(x.data))
+    def backward(g):
+        x._accumulate(g * np.sign(x.data))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(np.abs(x.data), (x,), backward, "abs")
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise minimum; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
-    out = _make(np.minimum(a.data, b.data), (a, b), None, "minimum")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         take_a = (a.data <= b.data).astype(np.float64)
-        a._accumulate(_unbroadcast(g * take_a, a.data.shape))
-        b._accumulate(_unbroadcast(g * (1.0 - take_a), b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * take_a, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * (1.0 - take_a), b.data.shape))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(np.minimum(a.data, b.data), (a, b), backward, "minimum")
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-    out = _make(np.maximum(x.data, 0.0), (x,), None, "relu")
 
-    def backward():
-        x._accumulate(out.grad * (x.data > 0.0))
+    def backward(g):
+        x._accumulate(g * (x.data > 0.0))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(np.maximum(x.data, 0.0), (x,), backward, "relu")
 
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     z = np.exp(-np.abs(x.data))
     data = np.where(x.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-    out = _make(data, (x,), None, "sigmoid")
 
-    def backward():
-        x._accumulate(out.grad * out.data * (1.0 - out.data))
+    def backward(g):
+        x._accumulate(g * data * (1.0 - data))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(data, (x,), backward, "sigmoid")
 
 
 # -- reductions and normalizers -------------------------------------------
@@ -410,32 +420,27 @@ def _norm_axes(axis, ndim: int):
 def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _norm_axes(axis, x.ndim)
-    out = _make(x.data.sum(axis=axes, keepdims=keepdims), (x,), None, "sum")
 
-    def backward():
-        g = out.grad
+    def backward(g):
         if not keepdims and axes is not None:
             g = np.expand_dims(g, axes)
         x._accumulate(np.broadcast_to(g, x.data.shape).copy() if g.shape != x.data.shape else g.copy())
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(x.data.sum(axis=axes, keepdims=keepdims), (x,), backward, "sum")
 
 
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _norm_axes(axis, x.ndim)
     count = x.data.size if axes is None else int(np.prod([x.data.shape[a] for a in axes]))
-    out = _make(x.data.mean(axis=axes, keepdims=keepdims), (x,), None, "mean")
 
-    def backward():
-        g = out.grad / count
+    def backward(g):
+        g = g / count
         if not keepdims and axes is not None:
             g = np.expand_dims(g, axes)
         x._accumulate(np.broadcast_to(g, x.data.shape).copy())
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(x.data.mean(axis=axes, keepdims=keepdims), (x,), backward, "mean")
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -443,17 +448,13 @@ def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-    out = _make(data, (x,), None, "softmax")
+    y = e / e.sum(axis=axis, keepdims=True)
 
-    def backward():
-        g = out.grad
-        y = out.data
+    def backward(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
         x._accumulate(y * (g - inner))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(y, (x,), backward, "softmax")
 
 
 def standardize(x, axis, eps: float) -> Tensor:
@@ -464,18 +465,14 @@ def standardize(x, axis, eps: float) -> Tensor:
     centered = x.data - mu
     var = (centered * centered).mean(axis=axes, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    data = centered * inv
-    out = _make(data, (x,), None, "standardize")
+    y = centered * inv
 
-    def backward():
-        g = out.grad
-        y = out.data
+    def backward(g):
         gm = g.mean(axis=axes, keepdims=True)
         gy = (g * y).mean(axis=axes, keepdims=True)
         x._accumulate(inv * (g - gm - y * gy))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(y, (x,), backward, "standardize")
 
 
 def layer_norm(x, eps: float = 1e-12) -> Tensor:
@@ -503,19 +500,17 @@ def cosine_similarity(a, b, eps: float = 1e-12) -> Tensor:
     nb = np.sqrt((bd * bd).sum(axis=-1, keepdims=True))
     q = (na + eps) * (nb + eps)
     y = dot / q
-    out = _make(y[..., 0], (a, b), None, "cosine_similarity")
 
-    def backward():
-        g = out.grad[..., None]
-        na_div = np.where(na > 0.0, na, 1.0)
-        nb_div = np.where(nb > 0.0, nb, 1.0)
-        ga = g * (bd / q - y * ad / (na_div * (na + eps)))
-        gb = g * (ad / q - y * bd / (nb_div * (nb + eps)))
-        a._accumulate(_unbroadcast(ga, ad.shape))
-        b._accumulate(_unbroadcast(gb, bd.shape))
+    def backward(g):
+        g = g[..., None]
+        if a.requires_grad:
+            na_div = np.where(na > 0.0, na, 1.0)
+            a._accumulate(_unbroadcast(g * (bd / q - y * ad / (na_div * (na + eps))), ad.shape))
+        if b.requires_grad:
+            nb_div = np.where(nb > 0.0, nb, 1.0)
+            b._accumulate(_unbroadcast(g * (ad / q - y * bd / (nb_div * (nb + eps))), bd.shape))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(y[..., 0], (a, b), backward, "cosine_similarity")
 
 
 # -- structural ops --------------------------------------------------------
@@ -523,30 +518,23 @@ def cosine_similarity(a, b, eps: float = 1e-12) -> Tensor:
 
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = as_tensor(x)
-    out = _make(x.data.reshape(shape), (x,), None, "reshape")
 
-    def backward():
-        x._accumulate(out.grad.reshape(x.data.shape))
+    def backward(g):
+        x._accumulate(g.reshape(x.data.shape))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(x.data.reshape(shape), (x,), backward, "reshape")
 
 
 def transpose(x, axes=None) -> Tensor:
     x = as_tensor(x)
     if axes is not None:
         axes = tuple(a % x.ndim for a in axes)
-    out = _make(np.transpose(x.data, axes), (x,), None, "transpose")
-    if axes is None:
-        inverse = None
-    else:
-        inverse = tuple(np.argsort(axes))
+    inverse = None if axes is None else tuple(np.argsort(axes))
 
-    def backward():
-        x._accumulate(np.transpose(out.grad, inverse))
+    def backward(g):
+        x._accumulate(np.transpose(g, inverse))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(np.transpose(x.data, axes), (x,), backward, "transpose")
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
@@ -554,20 +542,18 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat of an empty sequence")
     data = np.concatenate([p.data for p in parts], axis=axis)
-    out = _make(data, parts, None, "concat")
     ax = axis % data.ndim
     sizes = [p.data.shape[ax] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
-    def backward():
-        g = out.grad
+    def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[ax] = slice(lo, hi)
-            p._accumulate(g[tuple(sl)])
+            if p.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[ax] = slice(lo, hi)
+                p._accumulate(g[tuple(sl)])
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(data, parts, backward, "concat")
 
 
 def pad_last2(x, pad: int) -> Tensor:
@@ -578,14 +564,12 @@ def pad_last2(x, pad: int) -> Tensor:
     if pad < 0:
         raise ShapeError("pad must be non-negative")
     width = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-    out = _make(np.pad(x.data, width), (x,), None, "pad_last2")
 
-    def backward():
+    def backward(g):
         sl = (Ellipsis, slice(pad, pad + x.data.shape[-2]), slice(pad, pad + x.data.shape[-1]))
-        x._accumulate(out.grad[sl])
+        x._accumulate(g[sl])
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(np.pad(x.data, width), (x,), backward, "pad_last2")
 
 
 def crop_last2(x, top: int, left: int, height: int, width: int) -> Tensor:
@@ -596,15 +580,13 @@ def crop_last2(x, top: int, left: int, height: int, width: int) -> Tensor:
     if top < 0 or left < 0 or top + height > x.shape[-2] or left + width > x.shape[-1]:
         raise ShapeError(f"crop window out of bounds for {x.shape}")
     sl = (Ellipsis, slice(top, top + height), slice(left, left + width))
-    out = _make(x.data[sl], (x,), None, "crop_last2")
 
-    def backward():
-        g = np.zeros_like(x.data)
-        g[sl] = out.grad
-        x._accumulate(g)
+    def backward(g):
+        full = np.zeros_like(x.data)
+        full[sl] = g
+        x._accumulate(full)
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(x.data[sl], (x,), backward, "crop_last2")
 
 
 def im2col3x3(x) -> Tensor:
@@ -629,18 +611,16 @@ def im2col3x3(x) -> Tensor:
         # Conv3x3 outputs at batch 1 have always come from a column-major
         # patch matrix; BLAS rounds each layout differently, so keep it.
         cols = np.asfortranarray(cols)
-    out = _make(cols, (x,), None, "im2col3x3")
 
-    def backward():
-        g = out.grad.reshape(b, h, w, 3, 3, c)
+    def backward(g):
+        g = g.reshape(b, h, w, 3, 3, c)
         acc = np.zeros((b, h + 2, w + 2, c))
         for dy in range(3):
             for dx in range(3):
                 acc[:, dy : dy + h, dx : dx + w, :] += g[:, :, :, dy, dx, :]
         x._accumulate(acc[:, 1:-1, 1:-1, :].transpose(0, 3, 1, 2))
 
-    out._backward = backward if out._parents else None
-    return out
+    return _make(cols, (x,), backward, "im2col3x3")
 
 
 # -- primitive dispatch and gradient checking ------------------------------

@@ -8,7 +8,6 @@ guided sampler.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,20 +399,6 @@ def apply_train_mask(model: Stage2Model, mask: TrainMask) -> dict[str, Tensor]:
     return trainable
 
 
-@contextmanager
-def frozen(model):
-    """Temporarily disable gradient tracking on all model parameters."""
-    params = model.params()
-    saved = {name: p.requires_grad for name, p in params.items()}
-    for p in params.values():
-        p.requires_grad = False
-    try:
-        yield
-    finally:
-        for name, p in params.items():
-            p.requires_grad = saved[name]
-
-
 def class_target_latents(classes: int, grid: tuple[int, int, int], seed: int) -> np.ndarray:
     """Per-class unit-RMS target latents, reproducible from the seed.
 
@@ -508,7 +493,7 @@ def sample(
     rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
     x = rng.standard_normal((b,) + tuple(grid))
 
-    with frozen(model):
+    with ad.no_grad():
         pooled = cond_latents.mean(axis=1)
         adapted = model.adapter(Tensor(pooled)).data
         cond = np.concatenate([cond_latents, adapted], axis=1)

@@ -238,7 +238,7 @@ def _make_anchors(
 ) -> tuple[np.ndarray, np.ndarray]:
     if classes > latent_dim:
         raise DataError(f"cannot place {classes} near-orthogonal anchors in {latent_dim} dims")
-    for _ in range(8):
+    for _ in range(64):
         basis, _ = np.linalg.qr(rng.normal(size=(latent_dim, latent_dim)))
         image = _unit_rows(basis[:classes] + image_jitter * rng.normal(size=(classes, latent_dim)))
         gram = image @ image.T

@@ -269,11 +269,18 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
 def encode_windows(model: SignalAutoencoder, windows: np.ndarray, chunk: int = 32):
     """Eval-mode latents (N, T, D) and pooled vectors (N, D) for raw windows."""
     latents = []
-    for start in range(0, len(windows), chunk):
-        z = model.encode_batch(Tensor(windows[start : start + chunk]))
-        latents.append(z.data)
+    with ad.no_grad():
+        for start in range(0, len(windows), chunk):
+            z = model.encode_batch(Tensor(windows[start : start + chunk]))
+            latents.append(z.data)
     latents = np.concatenate(latents, axis=0)
     return latents, latents.mean(axis=1)
+
+
+def _checkpoint_config(cfg: RunConfig) -> dict:
+    """The config a checkpoint stores: without the run's directories, so
+    identical runs in two directories write identical bytes."""
+    return {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "data_dir")}
 
 
 def _check_dataset_matches(cfg: RunConfig, data: Dataset) -> None:
@@ -355,7 +362,7 @@ def train_stage1(cfg: RunConfig) -> dict:
     save_checkpoint(
         cfg.stage1_checkpoint,
         model.state(),
-        {"stage": 1, "epochs": cfg.epochs_stage1, "config": cfg.to_dict()},
+        {"stage": 1, "epochs": cfg.epochs_stage1, "config": _checkpoint_config(cfg)},
     )
     return {"checkpoint": cfg.stage1_checkpoint, "metrics": metrics, "model": model}
 
@@ -366,8 +373,9 @@ def evaluate_stage1(model: SignalAutoencoder, data: Dataset, weights: LossWeight
     windows = data.windows[idx]
     latents, pooled = encode_windows(model, windows)
     recon = []
-    for start in range(0, len(latents), 32):
-        recon.append(model.decode_batch(Tensor(latents[start : start + 32])).data)
+    with ad.no_grad():
+        for start in range(0, len(latents), 32):
+            recon.append(model.decode_batch(Tensor(latents[start : start + 32])).data)
     recon = np.concatenate(recon, axis=0)
 
     mse = float(np.mean((windows - recon) ** 2))
@@ -466,7 +474,7 @@ def train_stage2(cfg: RunConfig) -> dict:
             "stage": 2,
             "epochs": cfg.epochs_stage2,
             "mask": list(mask.names),
-            "config": cfg.to_dict(),
+            "config": _checkpoint_config(cfg),
         },
     )
     return {"checkpoint": cfg.stage2_checkpoint, "metrics": metrics, "model": model, "mask": mask}

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eegdiff import autodiff as ad
 from eegdiff.autodiff import NonFiniteError, ShapeError, Tensor
@@ -54,6 +55,21 @@ def test_graph_pruned_without_requires_grad(rng):
     assert y._backward is None
 
 
+def test_no_grad_builds_no_graph_nests_and_restores(rng):
+    x = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    with ad.no_grad():
+        y = ad.mul(x, 2.0)
+        with ad.no_grad():
+            pass
+        z = ad.relu(x)  # still off after the inner block closed
+    for t in (y, z):
+        assert t._parents == () and t._backward is None and not t.requires_grad
+    with pytest.raises(RuntimeError), ad.no_grad():
+        raise RuntimeError("boom")
+    after = ad.mul(x, 2.0)
+    assert after.requires_grad and after._parents[0] is x
+
+
 def test_broadcast_gradients_unbroadcast(rng):
     a = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
     b = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
@@ -75,6 +91,37 @@ def test_nonfinite_probe_raises():
         ad.exp(x)
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteError):
         ad.div(Tensor(np.ones(2)), Tensor(np.zeros(2)))
+
+
+# One call per op in ad.FINITE_PRESERVING, on two same-shape 4-D inputs.
+FINITE_CASES = {
+    "reshape": lambda x, y: ad.reshape(x, (-1,)),
+    "transpose": lambda x, y: ad.transpose(x, (3, 1, 2, 0)),
+    "concat": lambda x, y: ad.concat([x, y], axis=1),
+    "pad_last2": lambda x, y: ad.pad_last2(x, 1),
+    "crop_last2": lambda x, y: ad.crop_last2(x, 1, 0, 2, 3),
+    "im2col3x3": lambda x, y: ad.im2col3x3(x),
+    "relu": lambda x, y: ad.relu(x),
+    "abs": lambda x, y: ad.abs_(x),
+    "minimum": lambda x, y: ad.minimum(x, y),
+    "sigmoid": lambda x, y: ad.sigmoid(x),
+    "softmax": lambda x, y: ad.softmax(x, axis=-1),
+}
+finite = st.one_of(
+    st.sampled_from([1.7e308, -1.7e308, 0.0]), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@given(arrays(np.float64, (2, 2, 3, 3), elements=finite), arrays(np.float64, (2, 2, 3, 3), elements=finite))
+@settings(max_examples=50, deadline=None)
+def test_unprobed_ops_keep_finite_inputs_finite(x, y):
+    assert set(FINITE_CASES) == ad.FINITE_PRESERVING
+    for op, fn in FINITE_CASES.items():
+        # softmax's max shift may overflow to -inf, which exp maps to 0
+        with np.errstate(over="ignore"):
+            out = fn(Tensor(x), Tensor(y))
+        assert out._op == op
+        assert np.isfinite(out.data).all(), op
 
 
 def test_minimum_ties_route_gradient_to_first(rng):

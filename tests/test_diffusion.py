@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,6 @@ from eegdiff.diffusion import (
     build_schedule,
     class_target_latents,
     denoise,
-    frozen,
     sample,
     selective_finetune_mask,
     stage2_train_step,
@@ -209,13 +210,16 @@ def test_apply_train_mask_sets_requires_grad():
         apply_train_mask(model, TrainMask(names=("unet.bogus.w",)))
 
 
-def test_frozen_context_restores_flags():
+def test_no_grad_context_restores_flags(rng):
     model = tiny_model()
     apply_train_mask(model, selective_finetune_mask(model))
     saved = {n: p.requires_grad for n, p in model.params().items()}
-    with frozen(model):
-        assert not any(p.requires_grad for p in model.params().values())
+    x = rng.normal(size=(2,) + TINY.grid)
+    with ad.no_grad():
+        out = model.denoise(x, 3)
+        assert not out.requires_grad and out._parents == ()
     assert {n: p.requires_grad for n, p in model.params().items()} == saved
+    assert model.denoise(x, 3).requires_grad
 
 
 def test_state_round_trip(rng):
@@ -267,6 +271,38 @@ def test_train_step_updates_only_masked_params(rng):
             assert not np.array_equal(before[name], after[name]), name
         else:
             np.testing.assert_array_equal(before[name], after[name], err_msg=name)
+
+
+def test_train_step_skips_frozen_gradients(rng):
+    batch = batch_for(tiny_model(), rng)
+    frozen_model, open_model = tiny_model(), tiny_model()
+    mask = selective_finetune_mask(frozen_model)
+    trainable = apply_train_mask(frozen_model, mask)
+    for model, params in ((frozen_model, trainable), (open_model, open_model.params())):
+        stage2_train_step(batch, model, model.schedule, Adam(params, 1e-3),
+                          np.random.default_rng(0), drop_prob=0.5)
+    open_params = open_model.params()
+    for name, p in frozen_model.params().items():
+        if name in mask:
+            np.testing.assert_array_equal(p.grad, open_params[name].grad, err_msg=name)
+        else:
+            assert p.grad is None, name
+
+
+def test_train_step_graph_needs_no_cyclic_gc(rng):
+    model = tiny_model()
+    opt = Adam(apply_train_mask(model, selective_finetune_mask(model)), 1e-3)
+    step_rng = np.random.default_rng(0)
+    stage2_train_step(batch_for(model, rng), model, model.schedule, opt, step_rng)
+    batch = batch_for(model, rng)
+    gc.collect()
+    gc.disable()
+    try:
+        stage2_train_step(batch, model, model.schedule, opt, step_rng)
+        # reference counting alone freed the step's graph
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_train_step_rejects_foreign_schedule(rng):

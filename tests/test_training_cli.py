@@ -267,6 +267,20 @@ def test_gen_data_deterministic_and_seed_sensitive(ws, tmp_path):
     assert (tmp_path / "c" / "data" / "dataset.bin").read_bytes() != base.read_bytes()
 
 
+def test_gen_data_accepts_seed_needing_many_anchor_draws(tmp_path):
+    # seed 3 at the default sizes draws 11 anchor sets before one fits
+    assert main(["gen-data", "--out", str(tmp_path), "--seed", "3"]) == 0
+
+
+def test_checkpoint_bytes_do_not_depend_on_run_dir(ws, tmp_path):
+    # same run from another out dir, reading the workspace's dataset by path
+    other = tmp_path / "elsewhere"
+    argv = write_config(tmp_path / "config.json", ws.cfg, out_dir=str(other),
+                        data_dir=str(ws.cfg.resolved_data_dir))
+    assert main(["train-stage1", *argv]) == 0
+    assert (other / "stage1" / "autoencoder.bin").read_bytes() == ws.cfg.stage1_checkpoint.read_bytes()
+
+
 def test_grad_check_cli(tmp_path, capsys):
     assert main(["grad-check", "--out", str(tmp_path), "--seeds", "1"]) == 0
     out = capsys.readouterr().out
