@@ -446,7 +446,14 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 def softmax(x, axis: int = -1) -> Tensor:
     """Numerically stable softmax along ``axis``."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    # Row max as a running maximum over the slices along ``axis``: numpy's
+    # max reduction over a short axis is several times slower, and a
+    # maximum does not round, so the values are the same.
+    slices = np.moveaxis(x.data, axis, 0)
+    row_max = np.array(slices[0])  # a 0-d array, not a scalar, for 1-d x
+    for s in slices[1:]:
+        np.maximum(row_max, s, out=row_max)
+    shifted = x.data - np.expand_dims(row_max, axis)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 

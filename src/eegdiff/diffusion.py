@@ -3,7 +3,9 @@
 A variance-preserving schedule, a latent-token condition adapter, a small
 two-level denoiser with per-level cross-attention, selective finetuning
 (adapter + cross-attention key/value projections only), and a deterministic
-guided sampler.
+classifier-free guided sampler.  The denoiser splits into a condition-free
+trunk and a conditioned branch, so the sampler computes the trunk once per
+step and shares it between the unconditional and conditional predictions.
 """
 
 from __future__ import annotations
@@ -92,10 +94,6 @@ class ConditionAdapter:
             | prefixed("fc_out", self.fc_out.params())
             | {"null_cond": self.null_cond}
         )
-
-
-def adapt(adapter: ConditionAdapter, pooled) -> Tensor:
-    return adapter(pooled)
 
 
 def build_condition(latent, adapted) -> Tensor:
@@ -230,7 +228,13 @@ class DenoiserConfig:
 
 
 class Denoiser:
-    """Two-level convolutional velocity predictor with cross-attention."""
+    """Two-level convolutional velocity predictor with cross-attention.
+
+    The forward pass is ``branch(trunk(x_t, t), cond)``: a condition-free
+    trunk (time MLP, ``conv_in``, ``enc1``) and a conditioned branch.  The
+    guided sampler runs the trunk once per step and the branch once per
+    condition.
+    """
 
     def __init__(self, config: DenoiserConfig, rng: np.random.Generator):
         cfg = config.validate()
@@ -251,24 +255,41 @@ class Denoiser:
         self.dec1 = Conv3x3(rng, w1, w1)
         self.conv_out = Conv3x3(rng, w1, cin)
 
-    def __call__(self, x_t, t, cond) -> Tensor:
+    def trunk(self, x_t, t) -> tuple[Tensor, Tensor]:
+        """Condition-free head: the ``enc1`` feature map and the time features.
+
+        Everything here runs before the condition first enters at ``xattn1``,
+        so one trunk serves every condition at the same (x_t, t).
+        """
         x_t = as_tensor(x_t)
         if x_t.ndim != 4 or x_t.shape[1:] != self.config.grid:
             raise ShapeError(f"denoiser expects (batch, {self.config.grid}), got {x_t.shape}")
-        cond = as_tensor(cond)
         b = x_t.shape[0]
+        emb = timestep_embedding(np.broadcast_to(np.asarray(t), (b,)), self.config.time_dim)
+        tf = self.time_fc2(ad.relu(self.time_fc1(Tensor(emb))))
+        w1 = self.config.widths[0]
+        h = self.conv_in(x_t)
+        h = ad.relu(ad.add(h, self.time_proj1(tf).reshape(b, w1, 1, 1)))
+        return ad.relu(self.enc1(h)), tf
+
+    def branch(self, trunk: tuple[Tensor, Tensor], cond) -> Tensor:
+        """Conditioned rest of the network, from ``xattn1`` to ``conv_out``.
+
+        ``cond`` is (batch, tokens, cond_dim), or (tokens, cond_dim) shared
+        by the whole batch.
+        """
+        h, tf = trunk
+        # Unless the caller keeps the trunk (the guided sampler does), let
+        # the enc1 output be freed once xattn1 has read it.
+        del trunk
+        b = h.shape[0]
+        cond = as_tensor(cond)
         if cond.ndim == 2:
             cond = ad.mul(cond.reshape(1, *cond.shape), Tensor(np.ones((b, 1, 1))))
         if cond.shape[0] != b or cond.shape[-1] != self.config.cond_dim:
             raise ShapeError(f"condition shape {cond.shape} incompatible with batch {b}")
 
-        emb = timestep_embedding(np.broadcast_to(np.asarray(t), (b,)), self.config.time_dim)
-        tf = self.time_fc2(ad.relu(self.time_fc1(Tensor(emb))))
-        w1, w2 = self.config.widths
-
-        h = self.conv_in(x_t)
-        h = ad.relu(ad.add(h, self.time_proj1(tf).reshape(b, w1, 1, 1)))
-        h = ad.relu(self.enc1(h))
+        w2 = self.config.widths[1]
         h = self.xattn1(h, cond)
         skip = h
         d = avg_pool2(h)
@@ -279,6 +300,9 @@ class Denoiser:
         h = ad.relu(ad.add(skip, u))
         h = ad.relu(self.dec1(h))
         return self.conv_out(h)
+
+    def __call__(self, x_t, t, cond) -> Tensor:
+        return self.branch(self.trunk(x_t, t), cond)
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -353,19 +377,18 @@ class Stage2Model:
         null = self.adapter.null_cond
         return ad.mul(null.reshape(1, *null.shape), Tensor(np.ones((batch, 1, 1))))
 
-    def denoise(self, x_t, t, condition=None) -> Tensor:
-        x_t = as_tensor(x_t)
-        cond = self.null_condition(x_t.shape[0]) if condition is None else condition
-        raw = self.denoiser(x_t, t, cond)
+    def velocity(self, x_t, t, raw: Tensor) -> Tensor:
+        """The velocity head sigma_t * (alpha_t * x_t - raw) on a raw network output."""
         t = np.atleast_1d(np.asarray(t, dtype=int))
         shape = (len(t),) + (1,) * (x_t.ndim - 1)
         alpha = Tensor(self.schedule.alphas[t].reshape(shape))
         sigma = Tensor(self.schedule.sigmas[t].reshape(shape))
         return ad.mul(sigma, ad.sub(ad.mul(alpha, x_t), raw))
 
-
-def denoise(model: Stage2Model, x_t, t, condition=None) -> Tensor:
-    return model.denoise(x_t, t, condition)
+    def denoise(self, x_t, t, condition=None) -> Tensor:
+        x_t = as_tensor(x_t)
+        cond = self.null_condition(x_t.shape[0]) if condition is None else condition
+        return self.velocity(x_t, t, self.denoiser(x_t, t, cond))
 
 
 def _check_schedule(model: Stage2Model, schedule: NoiseSchedule) -> None:
@@ -475,8 +498,10 @@ def sample(
 
     Runs the reverse process over an evenly spaced descending timestep
     subset, combining unconditional and conditional velocity predictions at
-    ``scale``; scale 0 never evaluates the conditional branch, so its output
-    is independent of the conditioning inputs.
+    ``scale``.  Each step runs the denoiser's condition-free trunk once and
+    its conditioned branch once per prediction; scale 0 never evaluates the
+    conditional branch, so its output is independent of the conditioning
+    inputs.
     """
     _check_schedule(model, schedule)
     cond_latents = np.asarray(cond_latents, dtype=np.float64)
@@ -492,21 +517,26 @@ def sample(
     grid = model.denoiser.config.grid
     rng = np.random.default_rng(np.random.SeedSequence([seed, 31]))
     x = rng.standard_normal((b,) + tuple(grid))
+    denoiser = model.denoiser
 
     with ad.no_grad():
         pooled = cond_latents.mean(axis=1)
         adapted = model.adapter(Tensor(pooled)).data
-        cond = np.concatenate([cond_latents, adapted], axis=1)
+        cond = Tensor(np.concatenate([cond_latents, adapted], axis=1))
+        null = model.null_condition(b)
         scale = float(scale)
 
         for i, t_cur in enumerate(ts):
             t_arr = np.full(b, t_cur)
-            v_u = model.denoise(Tensor(x), t_arr, None).data
+            x_t = Tensor(x)
+            trunk = denoiser.trunk(x_t, t_arr)
+            v_u = model.velocity(x_t, t_arr, denoiser.branch(trunk, null)).data
             if scale == 0.0:
                 v = v_u
             else:
-                v_c = model.denoise(Tensor(x), t_arr, Tensor(cond)).data
+                v_c = model.velocity(x_t, t_arr, denoiser.branch(trunk, cond)).data
                 v = cfg_combine(v_u, v_c, scale)
+            del trunk
             a_cur = float(schedule.alphas[t_cur])
             s_cur = float(schedule.sigmas[t_cur])
             x0_hat = a_cur * x - s_cur * v

@@ -10,6 +10,8 @@ writes are ordered, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,27 +40,34 @@ def write_container(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
     """Write named float64 records plus a JSON meta blob.
 
     Records are written sorted by name; returns ``{name: byte_offset}``.
+    The bytes go to a sibling ``.tmp`` file that then replaces ``path``, so
+    a write that fails part-way leaves any earlier file at ``path`` intact.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
     offsets: dict[str, int] = {}
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<H", FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-            encoded = name.encode("utf-8")
-            offsets[name] = fh.tell()
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(arr.tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<H", FORMAT_VERSION))
+            fh.write(struct.pack("<I", len(meta_bytes)))
+            fh.write(meta_bytes)
+            fh.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+                encoded = name.encode("utf-8")
+                offsets[name] = fh.tell()
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                for dim in arr.shape:
+                    fh.write(struct.pack("<Q", dim))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return offsets
 
 
@@ -90,16 +99,21 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
         meta = json.loads(bytes(take(meta_len)).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"{path} has a corrupt meta blob: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ContainerError(f"{path} has a meta blob that is not a JSON object")
     (count,) = struct.unpack("<I", take(4))
 
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ContainerError(f"{path} has a corrupt record name: {exc}") from exc
         (ndim,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
-        n_items = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(n_items * 8), dtype="<f8").reshape(shape)
+        # math.prod on Python ints: a corrupt dimension cannot wrap around
+        data = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
         arrays[name] = np.array(data)  # own the memory
     if pos != len(view):
         raise ContainerError(f"{path} has {len(view) - pos} trailing bytes")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from eegdiff import autodiff as ad
 from eegdiff.autodiff import NonFiniteError, ShapeError, Tensor
@@ -163,6 +163,21 @@ def test_softmax_rows_are_distributions(seed):
     assert (p >= 0).all()
     shifted = ad.softmax(Tensor(x + 100.0)).data
     np.testing.assert_allclose(p, shifted, atol=1e-12)
+
+
+@given(
+    st.data(),
+    arrays(
+        np.float64,
+        array_shapes(min_dims=1, max_dims=4, max_side=5),
+        elements=st.sampled_from([-0.0, 0.0, 1.5, -1.5, 3.0]) | st.floats(-50, 50),
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_softmax_matches_max_reduction_formula(data, x):
+    axis = data.draw(st.integers(-x.ndim, x.ndim - 1))
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    assert np.array_equal(ad.softmax(Tensor(x), axis=axis).data, e / e.sum(axis=axis, keepdims=True))
 
 
 def test_layer_norm_standardizes_rows(rng):

@@ -13,19 +13,18 @@ from eegdiff.diffusion import (
     Conv3x3,
     DenoiserConfig,
     Stage2Model,
-    adapt,
     apply_train_mask,
     avg_pool2,
     build_condition,
     build_schedule,
     class_target_latents,
-    denoise,
     sample,
     selective_finetune_mask,
     stage2_train_step,
     timestep_embedding,
     upsample2,
 )
+from eegdiff.losses import cfg_combine
 from eegdiff.nn import ConfigError
 from eegdiff.training import Adam
 
@@ -68,7 +67,7 @@ def test_adapter_shapes_and_null(rng):
     adapter = ConditionAdapter(rng, latent_dim=8, latent_tokens=4)
     single = adapter(Tensor(rng.normal(size=8)))
     assert single.shape == (ADAPTER_TOKENS, 8)
-    batch = adapt(adapter, Tensor(rng.normal(size=(3, 8))))
+    batch = adapter(Tensor(rng.normal(size=(3, 8))))
     assert batch.shape == (3, ADAPTER_TOKENS, 8)
     assert adapter.null_cond.shape == (4 + ADAPTER_TOKENS, 8)
 
@@ -166,12 +165,16 @@ def test_denoiser_output_shape_and_cond_broadcast(rng):
     assert v2.shape == (3, 2, 4, 4)
 
 
-def test_denoise_module_level_helper(rng):
+def test_denoise_is_velocity_of_trunk_and_branch(rng):
     model = tiny_model()
-    x = rng.normal(size=(2, 2, 4, 4))
-    np.testing.assert_array_equal(
-        denoise(model, x, 4).data, model.denoise(x, 4).data
-    )
+    net = model.denoiser
+    x = Tensor(rng.normal(size=(2, 2, 4, 4)))
+    cond = Tensor(rng.normal(size=(2, 4 + ADAPTER_TOKENS, 8)))
+    for t, c, used in [(4, None, model.null_condition(2)), (np.array([1, 8]), cond, cond)]:
+        np.testing.assert_array_equal(
+            model.denoise(x, t, c).data,
+            model.velocity(x, t, net.branch(net.trunk(x, t), used)).data,
+        )
 
 
 def test_velocity_head_uses_schedule_scaling(rng):
@@ -184,6 +187,52 @@ def test_velocity_head_uses_schedule_scaling(rng):
     a = sched.alphas[t].reshape(2, 1, 1, 1)
     s = sched.sigmas[t].reshape(2, 1, 1, 1)
     np.testing.assert_allclose(v.data, s * (a * x.data - raw.data), rtol=1e-12)
+
+
+def two_pass_sample(model, cond_latents, scale, steps, seed):
+    """The guided sampler as two full ``model.denoise`` passes per step."""
+    sched = model.schedule
+    ts = np.round(np.linspace(0, sched.steps - 1, steps)).astype(int)[::-1]
+    b = cond_latents.shape[0]
+    x = np.random.default_rng(np.random.SeedSequence([seed, 31])).standard_normal((b,) + TINY.grid)
+    with ad.no_grad():
+        adapted = model.adapter(Tensor(cond_latents.mean(axis=1))).data
+        cond = Tensor(np.concatenate([cond_latents, adapted], axis=1))
+        for i, t in enumerate(ts):
+            t_arr = np.full(b, t)
+            v = model.denoise(Tensor(x), t_arr, None).data
+            if scale != 0.0:
+                v = cfg_combine(v, model.denoise(Tensor(x), t_arr, cond).data, scale)
+            a, s = sched.alphas[t], sched.sigmas[t]
+            x0_hat, eps_hat = a * x - s * v, s * x + a * v
+            if i + 1 < len(ts):
+                x = sched.alphas[ts[i + 1]] * x0_hat + sched.sigmas[ts[i + 1]] * eps_hat
+            else:
+                x = x0_hat
+    return x
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_sample_matches_two_pass_reference(batch):
+    model = tiny_model(seed=4, steps=20)
+    cond_latents = np.random.default_rng(9).normal(size=(batch, 4, 8))
+    outs = {}
+    for scale in (0.0, 1.0, 7.5):
+        outs[scale] = sample(model, model.schedule, cond_latents, scale, steps=6, seed=2)
+        np.testing.assert_array_equal(outs[scale], two_pass_sample(model, cond_latents, scale, 6, 2))
+    assert not np.array_equal(outs[0.0], outs[7.5])
+
+
+def test_guided_step_shares_the_trunk(monkeypatch):
+    calls = []
+    conv_call = Conv3x3.__call__
+    monkeypatch.setattr(Conv3x3, "__call__", lambda self, x: calls.append(self) or conv_call(self, x))
+    model = tiny_model()
+    cond_latents = np.zeros((2, 4, 8))
+    for scale, per_step in [(7.5, 12), (0.0, 7)]:
+        calls.clear()
+        sample(model, model.schedule, cond_latents, scale, steps=3)
+        assert len(calls) == 3 * per_step
 
 
 def test_mask_covers_adapter_and_kv_only():

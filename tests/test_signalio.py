@@ -68,6 +68,63 @@ def test_container_rejects_bad_magic_and_truncation(tmp_path, rng):
         read_container(long)
 
 
+@pytest.fixture(scope="module")
+def fuzz_blob(tmp_path_factory):
+    """A small container whose headers are a large share of its bytes."""
+    rng = np.random.default_rng(3)
+    arrays = {"w": rng.normal(size=(2, 3)), "bias\u00e9": rng.normal(size=2), "s": np.float64(1.5)}
+    path = tmp_path_factory.mktemp("fuzz") / "x.bin"
+    write_container(path, arrays, {"kind": "t"})
+    return path.read_bytes()
+
+
+@given(
+    flips=st.lists(st.tuples(st.integers(0, 10_000), st.integers(0, 255)), max_size=4),
+    cut=st.one_of(st.none(), st.integers(0, 10_000)),
+)
+@settings(max_examples=400, deadline=None)
+def test_read_container_raises_only_container_error(tmp_path_factory, fuzz_blob, flips, cut):
+    blob = bytearray(fuzz_blob)
+    for pos, byte in flips:
+        blob[pos % len(blob)] = byte
+    if cut is not None:
+        blob = blob[: cut % len(blob)]
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(bytes(blob))
+    try:
+        read_container(path)
+    except ContainerError:
+        pass
+
+
+def test_read_container_rejects_bad_name_size_and_meta(tmp_path, fuzz_blob):
+    name_at = fuzz_blob.index(b"\x06\x00bias") + 6  # first byte of the UTF-8 "\u00e9"
+    dim_at = fuzz_blob.index(b"\x01\x00w\x02") + 4  # first dimension of "w"
+    path = tmp_path / "bad.bin"
+    # an invalid UTF-8 name; a dimension of about 2**62, whose product with
+    # the next one wraps around in int64
+    for pos, byte in [(name_at, 0xFF), (dim_at + 7, 0x40)]:
+        blob = bytearray(fuzz_blob)
+        blob[pos] = byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError):
+            read_container(path)
+    write_container(path, {}, [1])  # meta that is JSON but not an object
+    with pytest.raises(ContainerError, match="not a JSON object"):
+        read_container(path)
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, rng):
+    path = tmp_path / "x.bin"
+    write_container(path, {"a": rng.normal(size=4)}, {"kind": "t"})
+    old = path.read_bytes()
+    # "a" is written first; "b" cannot become float64, so the write fails part-way
+    with pytest.raises(ValueError):
+        write_container(path, {"a": rng.normal(size=4), "b": np.array(["x"])}, {"kind": "t"})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+
 def test_checkpoint_kind_enforced(tmp_path, rng):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, {"w": rng.normal(size=(2, 2))}, {"stage": 1})
