@@ -336,10 +336,6 @@ def power(x, exponent: float) -> Tensor:
     return _make(data, (x,), backward, "power")
 
 
-def sqrt(x) -> Tensor:
-    return power(x, 0.5)
-
-
 def exp(x) -> Tensor:
     x = as_tensor(x)
     with np.errstate(over="ignore"):

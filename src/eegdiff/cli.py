@@ -28,6 +28,7 @@ from .evaluate import (
 from .nn import ConfigError, ShapeError
 from .signalio import ContainerError, DataError, generate_dataset, load_dataset, read_container, write_container
 from .training import (
+    DATASET_FIELDS,
     RunConfig,
     encode_windows,
     format_float,
@@ -58,24 +59,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 def cmd_gen_data(args) -> int:
     cfg = _config_from(args)
-    generate_dataset(
-        cfg.resolved_data_dir,
-        channels=cfg.channels,
-        samples=cfg.samples,
-        latent_tokens=cfg.latent_tokens,
-        latent_dim=cfg.latent_dim,
-        classes=cfg.classes,
-        per_class=cfg.per_class,
-        subjects=cfg.subjects,
-        seed=cfg.seed,
-        fs=cfg.fs,
-        low=cfg.low,
-        high=cfg.high,
-        val_frac=cfg.val_frac,
-        test_frac=cfg.test_frac,
-        noise_std=cfg.noise_std,
-        target_rms=cfg.target_rms,
-    )
+    generate_dataset(cfg.resolved_data_dir, **{name: getattr(cfg, name) for name in DATASET_FIELDS})
     base = cfg.resolved_data_dir
     print(f"wrote {base / 'dataset.bin'} and {base / 'manifest.json'}")
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, as_tensor
-from .losses import cfg_combine
+from .losses import cfg_combine, v_loss
 from .nn import ConfigError, LayerNorm, Linear, assign_state, glorot_uniform, prefixed
 
 ADAPTER_TOKENS = 4
@@ -36,9 +36,22 @@ class NoiseSchedule:
     def steps(self) -> int:
         return len(self.alphas)
 
-    def snr(self, t: int) -> float:
-        a, s = float(self.alphas[t]), float(self.sigmas[t])
-        return a * a / (s * s)
+    def snr(self, t):
+        """alpha_t^2 / sigma_t^2 for a timestep or an array of them (inf where sigma_t is 0)."""
+        a, s = self.alphas[t], self.sigmas[t]
+        with np.errstate(divide="ignore"):
+            return a * a / (s * s)
+
+    def coefficients(self, t, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(alpha_t, sigma_t) shaped (len(t), 1, ..., 1) to broadcast over a batch of ``shape``.
+
+        ``t`` is one timestep for the whole batch or one per sample.
+        """
+        t = np.atleast_1d(np.asarray(t, dtype=int))
+        if t.ndim != 1 or len(t) not in (1, shape[0]):
+            raise ShapeError(f"timesteps of shape {t.shape} do not fit a batch of shape {shape}")
+        view = (len(t),) + (1,) * (len(shape) - 1)
+        return self.alphas[t].reshape(view), self.sigmas[t].reshape(view)
 
 
 def build_schedule(steps: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> NoiseSchedule:
@@ -379,10 +392,7 @@ class Stage2Model:
 
     def velocity(self, x_t, t, raw: Tensor) -> Tensor:
         """The velocity head sigma_t * (alpha_t * x_t - raw) on a raw network output."""
-        t = np.atleast_1d(np.asarray(t, dtype=int))
-        shape = (len(t),) + (1,) * (x_t.ndim - 1)
-        alpha = Tensor(self.schedule.alphas[t].reshape(shape))
-        sigma = Tensor(self.schedule.sigmas[t].reshape(shape))
+        alpha, sigma = self.schedule.coefficients(t, x_t.shape)
         return ad.mul(sigma, ad.sub(ad.mul(alpha, x_t), raw))
 
     def denoise(self, x_t, t, condition=None) -> Tensor:
@@ -451,7 +461,9 @@ def stage2_train_step(
 
     ``batch`` carries plain arrays: ``x0`` (B, grid), ``cond`` latent tokens
     (B, T, D), ``pooled`` (B, D).  Per-sample timesteps, noise, and the
-    condition-dropout mask all come from ``rng``.
+    condition-dropout mask all come from ``rng``; dropped samples get the
+    learned null condition.  The loss is ``losses.v_loss``, the objective
+    the gradient audit checks.
     """
     _check_schedule(model, schedule)
     x0 = np.asarray(batch["x0"], dtype=np.float64)
@@ -463,22 +475,12 @@ def stage2_train_step(
     eps = rng.standard_normal(x0.shape)
     drop = rng.random(b) < drop_prob
 
-    alpha = schedule.alphas[t].reshape(b, 1, 1, 1)
-    sigma = schedule.sigmas[t].reshape(b, 1, 1, 1)
-    x_t = Tensor(alpha * x0 + sigma * eps)
-    v_tgt = Tensor(alpha * eps - sigma * x0)
-
     adapted = model.adapter(Tensor(pooled))
     cond = build_condition(Tensor(cond_lat), adapted)
     keep = Tensor((~drop).astype(np.float64).reshape(b, 1, 1))
     dropped = Tensor(drop.astype(np.float64).reshape(b, 1, 1))
     cond_used = ad.add(ad.mul(cond, keep), ad.mul(model.null_condition(b), dropped))
-
-    pred = model.denoise(x_t, t, cond_used)
-    snr = np.clip(alpha**2 / sigma**2, 1e-8, 1e8)
-    weights = Tensor(snr ** (-gamma))
-    diff = ad.sub(v_tgt, pred)
-    loss = ad.mean(ad.mul(weights, ad.mul(diff, diff)))
+    loss = v_loss(Tensor(x0), Tensor(eps), t, cond_used, model.denoise, schedule, gamma)
 
     optimizer.zero_grad()
     loss.backward()

@@ -3,8 +3,10 @@
 Stage 1 combines waveform reconstruction, alignment to per-class text
 embeddings, and a symmetric-free InfoNCE term against paired image
 embeddings.  Stage 2 regresses the velocity parameterization of a diffusion
-process with an SNR-power weighting, and guided sampling blends conditional
-and unconditional predictions.
+process (Salimans & Ho 2022) with an SNR-power weighting: ``v_loss`` is the
+one implementation, trained by ``diffusion.stage2_train_step`` and checked by
+the gradient audit, with per-sample timesteps.  Guided sampling blends
+conditional and unconditional predictions.
 """
 
 from __future__ import annotations
@@ -133,51 +135,49 @@ def stage1_loss_terms(target, recon, latent, text_emb, pooled, image_emb, weight
     return total, terms
 
 
-def stage1_loss(target, recon, latent, text_emb, pooled, image_emb, weights: LossWeights) -> Tensor:
-    total, _ = stage1_loss_terms(target, recon, latent, text_emb, pooled, image_emb, weights)
-    return total
-
-
 # -- diffusion objectives ---------------------------------------------------
 
 SNR_FLOOR = 1e-8
 SNR_CEIL = 1e8
 
 
-def snr_weight(schedule, t: int, gamma: float) -> float:
-    """SNR(t)^-gamma with the signal-to-noise ratio clamped to [1e-8, 1e8]."""
-    alpha = float(schedule.alphas[t])
-    sigma = float(schedule.sigmas[t])
-    snr = alpha * alpha / (sigma * sigma) if sigma != 0.0 else np.inf
-    snr = min(max(snr, SNR_FLOOR), SNR_CEIL)
-    return snr ** (-gamma)
+def snr_weight(schedule, t, gamma: float):
+    """SNR(t)^-gamma with the signal-to-noise ratio clamped to [1e-8, 1e8].
+
+    ``t`` is a timestep (returns a float) or an array of them (returns an
+    array of the same shape).
+    """
+    snr = np.clip(schedule.snr(np.atleast_1d(t)), SNR_FLOOR, SNR_CEIL)
+    weight = snr ** (-gamma)
+    return weight.reshape(np.shape(t)) if np.ndim(t) else float(weight[0])
 
 
-def v_target(x0, noise, t: int, schedule) -> Tensor:
-    """Velocity target alpha_t * noise - sigma_t * x0."""
+def v_target(x0, noise, t, schedule) -> Tensor:
+    """Velocity target alpha_t * noise - sigma_t * x0; ``t`` is a timestep or one per sample."""
     x0, noise = as_tensor(x0), as_tensor(noise)
     if x0.shape != noise.shape:
         raise ShapeError(f"v_target shape mismatch: {x0.shape} vs {noise.shape}")
-    alpha = float(schedule.alphas[t])
-    sigma = float(schedule.sigmas[t])
+    alpha, sigma = schedule.coefficients(t, x0.shape)
     return ad.sub(ad.mul(alpha, noise), ad.mul(sigma, x0))
 
 
-def v_loss(x0, noise, t: int, condition, model, schedule, gamma: float = 0.5) -> Tensor:
-    """SNR-weighted MSE between predicted and target velocity.
+def v_loss(x0, noise, t, condition, model, schedule, gamma: float = 0.5) -> Tensor:
+    """The stage-2 objective mean(w_b * (v_target - v_pred)^2).
 
-    ``model`` is called as ``model(x_t, t, condition)``; ``x_t`` is formed
-    here as alpha_t * x0 + sigma_t * noise.
+    ``t`` is one timestep or one per sample, shape (B,); ``w_b`` is
+    ``snr_weight`` at sample b's timestep.  ``model`` is called as
+    ``model(x_t, t, condition)`` with x_t = alpha_t * x0 + sigma_t * noise.
     """
     x0, noise = as_tensor(x0), as_tensor(noise)
-    alpha = float(schedule.alphas[t])
-    sigma = float(schedule.sigmas[t])
+    alpha, sigma = schedule.coefficients(t, x0.shape)
     x_t = ad.add(ad.mul(alpha, x0), ad.mul(sigma, noise))
     target = v_target(x0, noise, t, schedule)
     pred = model(x_t, t, condition)
     if pred.shape != target.shape:
         raise ShapeError(f"model output shape {pred.shape} != target {target.shape}")
-    return ad.mul(snr_weight(schedule, t, gamma), mse_loss(target, pred))
+    weights = np.reshape(snr_weight(schedule, t, gamma), alpha.shape)
+    diff = ad.sub(target, pred)
+    return ad.mean(ad.mul(weights, ad.mul(diff, diff)))
 
 
 def cfg_combine(v_uncond, v_cond, scale: float) -> np.ndarray:

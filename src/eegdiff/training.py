@@ -19,6 +19,7 @@ from .diffusion import (
     DenoiserConfig,
     Stage2Model,
     apply_train_mask,
+    build_condition,
     build_schedule,
     class_target_latents,
     selective_finetune_mask,
@@ -31,7 +32,6 @@ from .losses import (
     contrastive_loss,
     recon_loss,
     sdsc_loss,
-    stage1_loss,
     stage1_loss_terms,
     text_align_loss,
     v_loss,
@@ -76,6 +76,13 @@ class Adam:
             m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+# RunConfig fields that `signalio.generate_dataset` takes as keyword arguments.
+DATASET_FIELDS = (
+    "channels", "samples", "latent_tokens", "latent_dim", "classes", "per_class", "subjects",
+    "seed", "fs", "low", "high", "val_frac", "test_frac", "noise_std", "target_rms",
+)
 
 
 @dataclass
@@ -634,7 +641,7 @@ def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, fl
 
         def fn(latent):
             pooled = ad.mean(latent, axis=1)
-            return stage1_loss(target, recon, latent, text, pooled, images, w)
+            return stage1_loss_terms(target, recon, latent, text, pooled, images, w)[0]
 
         return fn, rng.normal(size=(2, 2, 4))
 
@@ -665,10 +672,8 @@ def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, fl
         lat = Tensor(rng.normal(size=(2, 2, 4)))
 
         def fn(x0):
-            from .diffusion import build_condition
-
             cond = build_condition(lat, model.adapter(pooled))
-            return v_loss(x0, noise, 4, cond, model.denoise, schedule)
+            return v_loss(x0, noise, np.array([2, 7]), cond, model.denoise, schedule)
 
         return fn, rng.standard_normal((2,) + tiny_grid)
 
@@ -681,7 +686,7 @@ def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, fl
 
         def fn(x0):
             # a fixed linear "model" isolates the loss math from the denoiser
-            return v_loss(x0, noise, 4, None, lambda x_t, t, c: ad.mul(x_t, w), schedule)
+            return v_loss(x0, noise, np.array([2, 7]), None, lambda x_t, t, c: ad.mul(x_t, w), schedule)
 
         return fn, rng.standard_normal((2,) + tiny_grid)
 

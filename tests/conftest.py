@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eegdiff.signalio import generate_dataset, load_dataset
-from eegdiff.training import RunConfig
+from eegdiff.training import DATASET_FIELDS, RunConfig
 
 
 def tiny_config(out_dir: str = "out", seed: int = 3) -> RunConfig:
@@ -46,18 +46,7 @@ def tiny_cfg(tmp_path_factory):
 @pytest.fixture(scope="session")
 def tiny_data(tiny_cfg):
     cfg = tiny_cfg
-    generate_dataset(
-        cfg.resolved_data_dir,
-        channels=cfg.channels,
-        samples=cfg.samples,
-        latent_tokens=cfg.latent_tokens,
-        latent_dim=cfg.latent_dim,
-        classes=cfg.classes,
-        per_class=cfg.per_class,
-        subjects=cfg.subjects,
-        seed=cfg.seed,
-        fs=cfg.fs,
-    )
+    generate_dataset(cfg.resolved_data_dir, **{name: getattr(cfg, name) for name in DATASET_FIELDS})
     return load_dataset(cfg.resolved_data_dir)
 
 

@@ -354,6 +354,46 @@ def test_train_step_graph_needs_no_cyclic_gc(rng):
         gc.enable()
 
 
+def inline_loss_train_step(batch, model, schedule, optimizer, rng, drop_prob, gamma=0.5):
+    """Reference stage-2 step with the weighted velocity loss written out inline."""
+    x0, cond_lat, pooled = batch["x0"], batch["cond"], batch["pooled"]
+    b = x0.shape[0]
+    t = rng.integers(0, schedule.steps, size=b)
+    eps = rng.standard_normal(x0.shape)
+    drop = rng.random(b) < drop_prob
+    alpha = schedule.alphas[t].reshape(b, 1, 1, 1)
+    sigma = schedule.sigmas[t].reshape(b, 1, 1, 1)
+    x_t = Tensor(alpha * x0 + sigma * eps)
+    v_tgt = Tensor(alpha * eps - sigma * x0)
+    cond = build_condition(Tensor(cond_lat), model.adapter(Tensor(pooled)))
+    keep = Tensor((~drop).astype(np.float64).reshape(b, 1, 1))
+    dropped = Tensor(drop.astype(np.float64).reshape(b, 1, 1))
+    cond_used = ad.add(ad.mul(cond, keep), ad.mul(model.null_condition(b), dropped))
+    pred = model.denoise(x_t, t, cond_used)
+    snr = np.clip(alpha**2 / sigma**2, 1e-8, 1e8)
+    diff = ad.sub(v_tgt, pred)
+    loss = ad.mean(ad.mul(Tensor(snr ** (-gamma)), ad.mul(diff, diff)))
+    optimizer.zero_grad()
+    loss.backward()
+    optimizer.step()
+    return float(loss.data)
+
+
+def test_train_step_matches_inline_loss_reference(rng):
+    batches = [batch_for(tiny_model(), rng) for _ in range(3)]
+    runs = []
+    for step in (stage2_train_step, inline_loss_train_step):
+        model = tiny_model()
+        opt = Adam(apply_train_mask(model, selective_finetune_mask(model)), 1e-3)
+        step_rng = np.random.default_rng(5)
+        losses = [step(batch, model, model.schedule, opt, step_rng, drop_prob=0.5) for batch in batches]
+        runs.append((losses, model.state()))
+    (losses, state), (ref_losses, ref_state) = runs
+    assert losses == ref_losses
+    for name in ref_state:
+        np.testing.assert_array_equal(state[name], ref_state[name], err_msg=name)
+
+
 def test_train_step_rejects_foreign_schedule(rng):
     model = tiny_model()
     opt = Adam(apply_train_mask(model, selective_finetune_mask(model)), 1e-3)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from eegdiff import autodiff as ad
 from eegdiff.autodiff import Tensor
-from eegdiff.diffusion import NoiseSchedule, build_schedule
+from eegdiff.diffusion import DenoiserConfig, NoiseSchedule, Stage2Model, build_schedule
 from eegdiff.losses import (
     LossWeights,
     cfg_combine,
@@ -14,7 +14,6 @@ from eegdiff.losses import (
     recon_loss,
     sdsc_loss,
     snr_weight,
-    stage1_loss,
     stage1_loss_terms,
     text_align_loss,
     v_loss,
@@ -106,8 +105,6 @@ def test_stage1_terms_sum_to_total(rng):
     total, terms = stage1_loss_terms(x, recon, z, text, pooled, img, w)
     want = terms["recon"].data + 0.7 * terms["align"].data + 0.3 * terms["contrast"].data
     assert abs(float(total.data) - float(want)) < 1e-12
-    alt = stage1_loss(x, recon, z, text, pooled, img, w)
-    assert abs(float(alt.data) - float(total.data)) < 1e-12
 
 
 def test_loss_weights_validation():
@@ -154,6 +151,44 @@ def test_v_loss_zero_for_perfect_model(rng):
 
     loss = v_loss(x0, eps, 7, None, perfect, sched)
     assert float(loss.data) < 1e-28
+
+
+def test_snr_weight_and_v_target_take_per_sample_t(rng):
+    sched = build_schedule(20)
+    t = np.array([0, 7, 19])
+    weights = snr_weight(sched, t, 0.5)
+    assert weights.shape == (3,)
+    for i, ti in enumerate(t):
+        assert weights[i] == snr_weight(sched, int(ti), 0.5)
+    x0 = rng.normal(size=(3, 2, 5))
+    eps = rng.normal(size=(3, 2, 5))
+    v = v_target(x0, eps, t, sched).data
+    for i, ti in enumerate(t):
+        np.testing.assert_array_equal(v[i : i + 1], v_target(x0[i : i + 1], eps[i : i + 1], ti, sched).data)
+    with pytest.raises(ShapeError):
+        v_target(x0, eps, t[:2], sched)
+
+
+def test_v_loss_per_sample_t_matches_scalar_calls(rng):
+    sched = build_schedule(10)
+    model = Stage2Model(
+        DenoiserConfig(cond_dim=4, grid=(2, 4, 4), widths=(4, 8), attn_width=4, attn_heads=2, time_dim=8),
+        rng, latent_tokens=2, latent_dim=4, schedule=sched,
+    )
+    x0 = Tensor(rng.normal(size=(2, 2, 4, 4)), requires_grad=True)
+    eps = rng.normal(size=(2, 2, 4, 4))
+    t = np.array([2, 7])
+    loss = v_loss(x0, eps, t, None, model.denoise, sched)
+    loss.backward()
+    singles = []
+    for i, ti in enumerate(t):
+        xi = Tensor(x0.data[i : i + 1], requires_grad=True)
+        single = v_loss(xi, eps[i : i + 1], int(ti), None, model.denoise, sched)
+        single.backward()
+        singles.append(float(single.data))
+        # each sample carries half of the batch mean
+        np.testing.assert_allclose(x0.grad[i : i + 1], xi.grad / 2, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(float(loss.data), np.mean(singles), rtol=1e-12)
 
 
 def test_cfg_combine_endpoints_and_formula(rng):

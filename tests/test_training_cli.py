@@ -267,6 +267,15 @@ def test_gen_data_deterministic_and_seed_sensitive(ws, tmp_path):
     assert (tmp_path / "c" / "data" / "dataset.bin").read_bytes() != base.read_bytes()
 
 
+def test_gen_data_writes_configured_signal_fields(tmp_path):
+    changes = {"fs": 300.0, "low": 8.0, "high": 60.0, "noise_std": 0.3, "target_rms": 1.5}
+    argv = write_config(tmp_path / "config.json", tiny_config(str(tmp_path)), **changes)
+    assert main(["gen-data", *argv]) == 0
+    manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+    assert manifest["fs"] == 300.0 and manifest["band"] == [8.0, 60.0]
+    assert manifest["noise_std"] == 0.3 and manifest["target_rms"] == 1.5
+
+
 def test_gen_data_accepts_seed_needing_many_anchor_draws(tmp_path):
     # seed 3 at the default sizes draws 11 anchor sets before one fits
     assert main(["gen-data", "--out", str(tmp_path), "--seed", "3"]) == 0
