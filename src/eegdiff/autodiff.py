@@ -1,9 +1,9 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 A :class:`Tensor` wraps an ``np.ndarray`` and records, for every operation,
-its parent tensors and a closure that propagates the output gradient back to
-them.  Calling :meth:`Tensor.backward` on a scalar walks the recorded graph
-in reverse topological order and accumulates gradients into ``.grad`` for
+its parent tensors and one vector-Jacobian product (VJP) per parent.
+Calling :meth:`Tensor.backward` on a scalar walks the recorded graph in
+reverse topological order and accumulates gradients into ``.grad`` for
 every tensor created with ``requires_grad=True``.
 
 Design notes:
@@ -18,10 +18,15 @@ Design notes:
 * an op extends the graph only when some input has ``requires_grad`` and
   gradients are enabled; inside :func:`no_grad` no op records parents, so
   eval-mode passes build no graph,
-* a backward closure computes and accumulates a parent's gradient only when
-  that parent has ``requires_grad``, so frozen weights and constants cost no
-  backward work (the activity analysis of Griewank & Walther),
-* graphs are acyclic: a closure receives the output gradient as its argument
+* an op hands :func:`_make` its result, its parents and a VJP per parent:
+  a pure function from the output gradient to that parent's gradient,
+  which may broadcast wider than the parent.  The VJP computes whatever
+  only the backward pass needs, so no-graph passes never pay for it,
+* one rule decides who gets a gradient: the engine runs a parent's VJP,
+  unbroadcasts its result and accumulates it only when that parent has
+  ``requires_grad``, so frozen weights and constants cost no backward work
+  (the activity analysis of Griewank & Walther).  No op repeats that check,
+* graphs are acyclic: a VJP receives the output gradient as its argument
   and holds input tensors and arrays, never its own output, so reference
   counting frees a graph as soon as its root is dropped,
 * ``backward()`` resets gradients before accumulating, so calling it twice
@@ -38,6 +43,7 @@ and ``im2col3x3``, the 3x3 patch unfold behind ``diffusion.Conv3x3``.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -233,13 +239,32 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None], op: str) -> Tensor:
+def _make(
+    data: np.ndarray, parents: Sequence[Tensor], vjps: Sequence[Callable[[np.ndarray], np.ndarray]], op: str
+) -> Tensor:
+    """Wrap an op result and, when it joins the graph, record how to
+    backpropagate through it.
+
+    ``vjps[i]`` maps the output gradient ``g`` to the gradient of
+    ``parents[i]``, before unbroadcasting to that parent's shape.  A VJP is
+    pure: it reads ``g`` and the op's inputs, never the output tensor, and
+    computes whatever only the backward pass needs, so no-graph passes skip
+    that work.  :func:`_propagate` decides which parents get a gradient.
+    """
     out = Tensor(data, _op=op)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = backward
+        out._backward = partial(_propagate, out._parents, tuple(vjps))
     return out
+
+
+def _propagate(parents: tuple[Tensor, ...], vjps: tuple, g: np.ndarray) -> None:
+    """Run each VJP whose parent requires a gradient, unbroadcast its result
+    to the parent's shape and accumulate it; frozen parents cost nothing."""
+    for parent, vjp in zip(parents, vjps):
+        if parent.requires_grad:
+            parent._accumulate(_unbroadcast(vjp(g), parent.data.shape))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -259,50 +284,27 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(a.data + b.data, (a, b), backward, "add")
+    return _make(a.data + b.data, (a, b), (lambda g: g, lambda g: g), "add")
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(a.data - b.data, (a, b), backward, "sub")
+    return _make(a.data - b.data, (a, b), (lambda g: g, lambda g: -g), "sub")
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(a.data * b.data, (a, b), backward, "mul")
+    return _make(a.data * b.data, (a, b), (lambda g: g * b.data, lambda g: g * a.data), "mul")
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _make(a.data / b.data, (a, b), backward, "div")
+    return _make(
+        a.data / b.data,
+        (a, b),
+        (lambda g: g / b.data, lambda g: -g * a.data / (b.data * b.data)),
+        "div",
+    )
 
 
 def matmul(a, b) -> Tensor:
@@ -311,14 +313,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul requires ndim >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape))
-
-    return _make(np.matmul(a.data, b.data), (a, b), backward, "matmul")
+    return _make(
+        np.matmul(a.data, b.data),
+        (a, b),
+        (
+            lambda g: np.matmul(g, np.swapaxes(b.data, -1, -2)),
+            lambda g: np.matmul(np.swapaxes(a.data, -1, -2), g),
+        ),
+        "matmul",
+    )
 
 
 def power(x, exponent: float) -> Tensor:
@@ -327,79 +330,55 @@ def power(x, exponent: float) -> Tensor:
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         data = x.data ** p
 
-    def backward(g):
+    def vjp(g):
         if p == 0.0:
-            x._accumulate(np.zeros_like(x.data))
-            return
-        x._accumulate(g * p * x.data ** (p - 1.0))
+            return np.zeros_like(x.data)
+        return g * p * x.data ** (p - 1.0)
 
-    return _make(data, (x,), backward, "power")
+    return _make(data, (x,), (vjp,), "power")
 
 
 def exp(x) -> Tensor:
     x = as_tensor(x)
     with np.errstate(over="ignore"):
         data = np.exp(x.data)
-
-    def backward(g):
-        x._accumulate(g * data)
-
-    return _make(data, (x,), backward, "exp")
+    return _make(data, (x,), (lambda g: g * data,), "exp")
 
 
 def log(x) -> Tensor:
     x = as_tensor(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(x.data)
-
-    def backward(g):
-        x._accumulate(g / x.data)
-
-    return _make(data, (x,), backward, "log")
+    return _make(data, (x,), (lambda g: g / x.data,), "log")
 
 
 def abs_(x) -> Tensor:
     """Elementwise absolute value; subgradient 0 at 0."""
     x = as_tensor(x)
-
-    def backward(g):
-        x._accumulate(g * np.sign(x.data))
-
-    return _make(np.abs(x.data), (x,), backward, "abs")
+    return _make(np.abs(x.data), (x,), (lambda g: g * np.sign(x.data),), "abs")
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise minimum; ties route the gradient to the first argument."""
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        take_a = (a.data <= b.data).astype(np.float64)
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * take_a, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * (1.0 - take_a), b.data.shape))
-
-    return _make(np.minimum(a.data, b.data), (a, b), backward, "minimum")
+    return _make(
+        np.minimum(a.data, b.data),
+        (a, b),
+        (lambda g: g * (a.data <= b.data), lambda g: g * (1.0 - (a.data <= b.data))),
+        "minimum",
+    )
 
 
 def relu(x) -> Tensor:
     x = as_tensor(x)
-
-    def backward(g):
-        x._accumulate(g * (x.data > 0.0))
-
-    return _make(np.maximum(x.data, 0.0), (x,), backward, "relu")
+    return _make(np.maximum(x.data, 0.0), (x,), (lambda g: g * (x.data > 0.0),), "relu")
 
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
     z = np.exp(-np.abs(x.data))
     data = np.where(x.data >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-    def backward(g):
-        x._accumulate(g * data * (1.0 - data))
-
-    return _make(data, (x,), backward, "sigmoid")
+    return _make(data, (x,), (lambda g: g * data * (1.0 - data),), "sigmoid")
 
 
 # -- reductions and normalizers -------------------------------------------
@@ -417,12 +396,12 @@ def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     axes = _norm_axes(axis, x.ndim)
 
-    def backward(g):
+    def vjp(g):
         if not keepdims and axes is not None:
             g = np.expand_dims(g, axes)
-        x._accumulate(np.broadcast_to(g, x.data.shape).copy() if g.shape != x.data.shape else g.copy())
+        return np.broadcast_to(g, x.data.shape)
 
-    return _make(x.data.sum(axis=axes, keepdims=keepdims), (x,), backward, "sum")
+    return _make(x.data.sum(axis=axes, keepdims=keepdims), (x,), (vjp,), "sum")
 
 
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
@@ -430,13 +409,13 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, x.ndim)
     count = x.data.size if axes is None else int(np.prod([x.data.shape[a] for a in axes]))
 
-    def backward(g):
+    def vjp(g):
         g = g / count
         if not keepdims and axes is not None:
             g = np.expand_dims(g, axes)
-        x._accumulate(np.broadcast_to(g, x.data.shape).copy())
+        return np.broadcast_to(g, x.data.shape)
 
-    return _make(x.data.mean(axis=axes, keepdims=keepdims), (x,), backward, "mean")
+    return _make(x.data.mean(axis=axes, keepdims=keepdims), (x,), (vjp,), "mean")
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -452,12 +431,7 @@ def softmax(x, axis: int = -1) -> Tensor:
     shifted = x.data - np.expand_dims(row_max, axis)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        x._accumulate(y * (g - inner))
-
-    return _make(y, (x,), backward, "softmax")
+    return _make(y, (x,), (lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)),), "softmax")
 
 
 def standardize(x, axis, eps: float) -> Tensor:
@@ -470,12 +444,12 @@ def standardize(x, axis, eps: float) -> Tensor:
     inv = 1.0 / np.sqrt(var + eps)
     y = centered * inv
 
-    def backward(g):
+    def vjp(g):
         gm = g.mean(axis=axes, keepdims=True)
         gy = (g * y).mean(axis=axes, keepdims=True)
-        x._accumulate(inv * (g - gm - y * gy))
+        return inv * (g - gm - y * gy)
 
-    return _make(y, (x,), backward, "standardize")
+    return _make(y, (x,), (vjp,), "standardize")
 
 
 def layer_norm(x, eps: float = 1e-12) -> Tensor:
@@ -504,16 +478,11 @@ def cosine_similarity(a, b, eps: float = 1e-12) -> Tensor:
     q = (na + eps) * (nb + eps)
     y = dot / q
 
-    def backward(g):
-        g = g[..., None]
-        if a.requires_grad:
-            na_div = np.where(na > 0.0, na, 1.0)
-            a._accumulate(_unbroadcast(g * (bd / q - y * ad / (na_div * (na + eps))), ad.shape))
-        if b.requires_grad:
-            nb_div = np.where(nb > 0.0, nb, 1.0)
-            b._accumulate(_unbroadcast(g * (ad / q - y * bd / (nb_div * (nb + eps))), bd.shape))
+    def vjp(u, v, nu):
+        """Gradient for the operand ``u`` with norm ``nu``; ``v`` is the other."""
+        return lambda g: g[..., None] * (v / q - y * u / (np.where(nu > 0.0, nu, 1.0) * (nu + eps)))
 
-    return _make(y[..., 0], (a, b), backward, "cosine_similarity")
+    return _make(y[..., 0], (a, b), (vjp(ad, bd, na), vjp(bd, ad, nb)), "cosine_similarity")
 
 
 # -- structural ops --------------------------------------------------------
@@ -521,11 +490,7 @@ def cosine_similarity(a, b, eps: float = 1e-12) -> Tensor:
 
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = as_tensor(x)
-
-    def backward(g):
-        x._accumulate(g.reshape(x.data.shape))
-
-    return _make(x.data.reshape(shape), (x,), backward, "reshape")
+    return _make(x.data.reshape(shape), (x,), (lambda g: g.reshape(x.data.shape),), "reshape")
 
 
 def transpose(x, axes=None) -> Tensor:
@@ -533,11 +498,7 @@ def transpose(x, axes=None) -> Tensor:
     if axes is not None:
         axes = tuple(a % x.ndim for a in axes)
     inverse = None if axes is None else tuple(np.argsort(axes))
-
-    def backward(g):
-        x._accumulate(np.transpose(g, inverse))
-
-    return _make(np.transpose(x.data, axes), (x,), backward, "transpose")
+    return _make(np.transpose(x.data, axes), (x,), (lambda g: np.transpose(g, inverse),), "transpose")
 
 
 def concat(tensors: Iterable, axis: int = 0) -> Tensor:
@@ -546,17 +507,10 @@ def concat(tensors: Iterable, axis: int = 0) -> Tensor:
         raise ShapeError("concat of an empty sequence")
     data = np.concatenate([p.data for p in parts], axis=axis)
     ax = axis % data.ndim
-    sizes = [p.data.shape[ax] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[ax] = slice(lo, hi)
-                p._accumulate(g[tuple(sl)])
-
-    return _make(data, parts, backward, "concat")
+    lead = (slice(None),) * ax
+    offsets = np.cumsum([0] + [p.data.shape[ax] for p in parts])
+    vjps = [lambda g, sl=lead + (slice(lo, hi),): g[sl] for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return _make(data, parts, vjps, "concat")
 
 
 def pad_last2(x, pad: int) -> Tensor:
@@ -567,12 +521,10 @@ def pad_last2(x, pad: int) -> Tensor:
     if pad < 0:
         raise ShapeError("pad must be non-negative")
     width = [(0, 0)] * (x.ndim - 2) + [(pad, pad), (pad, pad)]
-
-    def backward(g):
-        sl = (Ellipsis, slice(pad, pad + x.data.shape[-2]), slice(pad, pad + x.data.shape[-1]))
-        x._accumulate(g[sl])
-
-    return _make(np.pad(x.data, width), (x,), backward, "pad_last2")
+    h, w = x.shape[-2:]
+    return _make(
+        np.pad(x.data, width), (x,), (lambda g: g[..., pad : pad + h, pad : pad + w],), "pad_last2"
+    )
 
 
 def crop_last2(x, top: int, left: int, height: int, width: int) -> Tensor:
@@ -584,12 +536,12 @@ def crop_last2(x, top: int, left: int, height: int, width: int) -> Tensor:
         raise ShapeError(f"crop window out of bounds for {x.shape}")
     sl = (Ellipsis, slice(top, top + height), slice(left, left + width))
 
-    def backward(g):
+    def vjp(g):
         full = np.zeros_like(x.data)
         full[sl] = g
-        x._accumulate(full)
+        return full
 
-    return _make(x.data[sl], (x,), backward, "crop_last2")
+    return _make(x.data[sl], (x,), (vjp,), "crop_last2")
 
 
 def im2col3x3(x) -> Tensor:
@@ -615,15 +567,15 @@ def im2col3x3(x) -> Tensor:
         # patch matrix; BLAS rounds each layout differently, so keep it.
         cols = np.asfortranarray(cols)
 
-    def backward(g):
+    def vjp(g):
         g = g.reshape(b, h, w, 3, 3, c)
         acc = np.zeros((b, h + 2, w + 2, c))
         for dy in range(3):
             for dx in range(3):
                 acc[:, dy : dy + h, dx : dx + w, :] += g[:, :, :, dy, dx, :]
-        x._accumulate(acc[:, 1:-1, 1:-1, :].transpose(0, 3, 1, 2))
+        return acc[:, 1:-1, 1:-1, :].transpose(0, 3, 1, 2)
 
-    return _make(cols, (x,), backward, "im2col3x3")
+    return _make(cols, (x,), (vjp,), "im2col3x3")
 
 
 # -- primitive dispatch and gradient checking ------------------------------

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .autodiff import NonFiniteError
 from .diffusion import build_schedule, class_target_latents
 from .diffusion import sample as sample_latents
 from .evaluate import (
@@ -31,6 +32,7 @@ from .training import (
     DATASET_FIELDS,
     RunConfig,
     encode_windows,
+    finite_scale,
     format_float,
     generation_conditions,
     gradient_suite,
@@ -105,7 +107,7 @@ def _generate(cfg: RunConfig, scale: float, steps: int, num: int):
 
 def cmd_sample(args) -> int:
     cfg = _config_from(args)
-    scale = cfg.guidance_scale if args.scale is None else float(args.scale)
+    scale = cfg.guidance_scale if args.scale is None else finite_scale(args.scale)
     steps = cfg.sample_steps if args.steps is None else int(args.steps)
     num = cfg.num_samples if args.num is None else int(args.num)
     _, labels, path = _generate(cfg, scale, steps, num)
@@ -154,12 +156,20 @@ def _load_samples(cfg: RunConfig, scale: float):
     records, meta = read_container(path)
     if meta.get("kind") != "samples":
         raise DataError(f"{path} is not a samples container")
-    return records["samples"], records["labels"].astype(int)
+    missing = [name for name in ("samples", "labels") if name not in records]
+    if missing:
+        raise DataError(f"{path} lacks records: {missing}")
+    samples, labels = records["samples"], records["labels"]
+    if samples.ndim == 0 or labels.shape != samples.shape[:1]:
+        raise DataError(f"{path} holds {samples.shape} samples but {labels.shape} labels")
+    if not np.isfinite(samples).all():
+        raise DataError(f"{path} holds non-finite samples")
+    return samples, labels.astype(int)
 
 
 def cmd_eval_gen(args) -> int:
     cfg = _config_from(args)
-    scale = cfg.guidance_scale if args.scale is None else float(args.scale)
+    scale = cfg.guidance_scale if args.scale is None else finite_scale(args.scale)
     samples, labels = _load_samples(cfg, scale)
     agree, fd = _gen_metrics(cfg, samples, labels)
     out = write_csv(
@@ -175,7 +185,7 @@ def cmd_eval_gen(args) -> int:
 def cmd_cfg_sweep(args) -> int:
     cfg = _config_from(args)
     try:
-        scales = [float(s) for s in args.scales.split(",") if s.strip()]
+        scales = [finite_scale(float(s)) for s in args.scales.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --scales value {args.scales!r}: {exc}") from exc
     if not scales:
@@ -258,7 +268,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ConfigError, ShapeError, DataError, ContainerError, EvalError, OSError, RuntimeError) as exc:
+    except (
+        ConfigError, ShapeError, DataError, ContainerError, EvalError, NonFiniteError, OSError, RuntimeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

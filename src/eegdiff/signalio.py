@@ -113,7 +113,11 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
         (ndim,) = struct.unpack("<B", take(1))
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
         # math.prod on Python ints: a corrupt dimension cannot wrap around
-        data = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
+        data = np.frombuffer(take(math.prod(shape) * 8), dtype="<f8")
+        try:
+            data = data.reshape(shape)
+        except ValueError as exc:  # more axes than numpy allows
+            raise ContainerError(f"{path} record {name!r} has a corrupt shape: {exc}") from exc
         arrays[name] = np.array(data)  # own the memory
     if pos != len(view):
         raise ContainerError(f"{path} has {len(view) - pos} trailing bytes")
@@ -441,6 +445,16 @@ def load_dataset(path) -> Dataset:
     missing = [name for name in required if name not in arrays]
     if missing:
         raise ContainerError(f"{container} lacks records: {missing}")
+    # Indices select windows and labels select anchor rows: each must be an
+    # integer in range, or training fails far from the file that is wrong.
+    n = len(arrays["windows"])
+    if arrays["labels"].shape != (n,):
+        raise ContainerError(f"{container} must hold one label per window ({n})")
+    bounds = {"labels": len(arrays["anchor_text"]), "train_idx": n, "val_idx": n, "test_idx": n}
+    for name, stop in bounds.items():
+        values = arrays[name]
+        if values.ndim != 1 or not np.all((values >= 0) & (values < stop) & (values == np.floor(values))):
+            raise ContainerError(f"{container} record {name!r} must hold integers in [0, {stop})")
     return Dataset(
         windows=arrays["windows"],
         labels=arrays["labels"].astype(np.int64),

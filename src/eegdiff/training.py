@@ -8,6 +8,7 @@ noise draws, and condition dropout each consume dedicated
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -159,6 +160,7 @@ class RunConfig:
         grid_size = int(np.prod(self.grid))
         if grid_size < 2:
             raise ConfigError("latent grid is too small")
+        finite_scale(self.guidance_scale)
         return self
 
     # -- derived views ------------------------------------------------------
@@ -254,6 +256,13 @@ class RunConfig:
         return cls.from_dict(raw)
 
 
+def finite_scale(scale: float) -> float:
+    """``scale`` itself; a NaN or infinite guidance scale raises ConfigError."""
+    if not math.isfinite(scale):
+        raise ConfigError(f"guidance scale must be finite, got {scale}")
+    return scale
+
+
 def format_float(x: float) -> str:
     """Shortest round-trip decimal text for metrics and file names."""
     return repr(float(x))
@@ -273,14 +282,15 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
     return path
 
 
-def encode_windows(model: SignalAutoencoder, windows: np.ndarray, chunk: int = 32):
-    """Eval-mode latents (N, T, D) and pooled vectors (N, D) for raw windows."""
-    latents = []
+def _map_no_grad(fn, rows: np.ndarray) -> np.ndarray:
+    """``fn`` over chunks of 32 rows without building a graph, concatenated."""
     with ad.no_grad():
-        for start in range(0, len(windows), chunk):
-            z = model.encode_batch(Tensor(windows[start : start + chunk]))
-            latents.append(z.data)
-    latents = np.concatenate(latents, axis=0)
+        return np.concatenate([fn(Tensor(rows[i : i + 32])).data for i in range(0, len(rows), 32)])
+
+
+def encode_windows(model: SignalAutoencoder, windows: np.ndarray):
+    """Eval-mode latents (N, T, D) and pooled vectors (N, D) for raw windows."""
+    latents = _map_no_grad(model.encode_batch, windows)
     return latents, latents.mean(axis=1)
 
 
@@ -379,11 +389,7 @@ def evaluate_stage1(model: SignalAutoencoder, data: Dataset, weights: LossWeight
     idx = data.val_idx
     windows = data.windows[idx]
     latents, pooled = encode_windows(model, windows)
-    recon = []
-    with ad.no_grad():
-        for start in range(0, len(latents), 32):
-            recon.append(model.decode_batch(Tensor(latents[start : start + 32])).data)
-    recon = np.concatenate(recon, axis=0)
+    recon = _map_no_grad(model.decode_batch, latents)
 
     mse = float(np.mean((windows - recon) ** 2))
     dice_values = [

@@ -1,3 +1,6 @@
+import gc
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +79,48 @@ def test_broadcast_gradients_unbroadcast(rng):
     grads = ad.sum_(ad.mul(a, b)).backward()
     np.testing.assert_allclose(grads[a], np.full((3, 1), b.data.sum()), rtol=1e-12)
     np.testing.assert_allclose(grads[b], np.full((1, 4), a.data.sum()), rtol=1e-12)
+
+
+# Every primitive with more than one parent, on operand shapes that
+# broadcast against each other (concat: parts of different lengths).
+MULTI_PARENT = {
+    "add": (ad.add, [(3, 1), (1, 4)]),
+    "sub": (ad.sub, [(3, 4), (4,)]),
+    "mul": (ad.mul, [(2, 3, 1), (3, 4)]),
+    "div": (ad.div, [(3, 1), (2, 3, 4)]),
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+    "minimum": (ad.minimum, [(3, 4), (1, 4)]),
+    "cosine_similarity": (ad.cosine_similarity, [(3, 1, 5), (1, 4, 5)]),
+    "concat": (lambda *parts: ad.concat(parts, axis=1), [(2, 1, 3), (2, 2, 3), (2, 3, 3)]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(MULTI_PARENT))
+def test_engine_skips_frozen_parents(op, rng):
+    fn, shapes = MULTI_PARENT[op]
+    values = [rng.uniform(0.5, 2.0, size=shape) for shape in shapes]
+    weight = rng.normal(size=fn(*map(Tensor, values)).shape)
+
+    def grads(trainable):
+        inputs = [Tensor(v, requires_grad=i in trainable) for i, v in enumerate(values)]
+        ad.sum_(ad.mul(fn(*inputs), weight)).backward()
+        return [t.grad for t in inputs]
+
+    reference = grads(range(len(values)))
+    gc.collect()
+    gc.disable()
+    try:
+        for k in range(1, len(values) + 1):
+            for trainable in itertools.combinations(range(len(values)), k):
+                for i, grad in enumerate(grads(trainable)):
+                    if i in trainable:
+                        assert np.array_equal(grad, reference[i]), (trainable, i)
+                    else:
+                        assert grad is None, (trainable, i)
+                # reference counting alone freed the graph
+                assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_matmul_shape_errors():

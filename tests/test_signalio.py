@@ -102,8 +102,9 @@ def test_read_container_rejects_bad_name_size_and_meta(tmp_path, fuzz_blob):
     dim_at = fuzz_blob.index(b"\x01\x00w\x02") + 4  # first dimension of "w"
     path = tmp_path / "bad.bin"
     # an invalid UTF-8 name; a dimension of about 2**62, whose product with
-    # the next one wraps around in int64
-    for pos, byte in [(name_at, 0xFF), (dim_at + 7, 0x40)]:
+    # the next one wraps around in int64; "bias\u00e9" read as 5-d, whose
+    # shape holds a 0 next to dimensions above 2**63 that numpy cannot take
+    for pos, byte in [(name_at, 0xFF), (dim_at + 7, 0x40), (name_at + 2, 5)]:
         blob = bytearray(fuzz_blob)
         blob[pos] = byte
         path.write_bytes(bytes(blob))

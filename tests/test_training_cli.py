@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from eegdiff.autodiff import Tensor
+from eegdiff import cli
+from eegdiff.autodiff import NonFiniteError, Tensor
 from eegdiff.cli import main
 from eegdiff.losses import LossWeights
 from eegdiff.nn import ConfigError
+from eegdiff.signalio import read_container, write_container
 from eegdiff.training import Adam, RunConfig, format_float, write_csv
 
 
@@ -212,6 +214,80 @@ def test_cfg_sweep_rejects_bad_scales(ws, capsys):
     assert main(["cfg-sweep", *ws.argv, "--scales", "abc"]) == 1
     assert main(["cfg-sweep", *ws.argv, "--scales", ","]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--scale", "nan"],
+        ["sample", "--scale", "nan", "--steps", "1"],
+        ["sample", "--scale=-inf"],
+        ["eval-gen", "--scale", "nan"],
+        ["cfg-sweep", "--scales", "1,inf"],
+    ],
+)
+def test_nonfinite_scale_exits_1(ws, argv, capsys):
+    samples = ws.cfg.samples_path(0.0).parent
+    before = sorted(samples.glob("*"))
+    capsys.readouterr()
+    assert main([*argv, *ws.argv]) == 1
+    assert_one_error_line(capsys)
+    assert sorted(samples.glob("*")) == before
+
+
+def test_nonfinite_config_scale_exits_1(ws, tmp_path, capsys):
+    argv = write_config(tmp_path / "config.json", ws.cfg, guidance_scale=float("inf"))
+    capsys.readouterr()
+    assert main(["sample", *argv]) == 1
+    assert_one_error_line(capsys)
+
+
+def test_diverging_sampler_exits_1(ws, monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise NonFiniteError("operation 'add' produced non-finite values")
+
+    monkeypatch.setattr(cli, "sample_latents", diverge)
+    capsys.readouterr()
+    assert main(["sample", *ws.argv, "--scale", "4.0"]) == 1
+    assert_one_error_line(capsys)
+    assert not ws.cfg.samples_path(4.0).exists()
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        {"samples": np.zeros((4, 2, 4, 4))},
+        {"samples": np.zeros((4, 2, 4, 4)), "labels": np.zeros(3)},
+        {"samples": np.full((4, 2, 4, 4), np.nan), "labels": np.zeros(4)},
+    ],
+    ids=["no-labels", "length-mismatch", "non-finite"],
+)
+def test_eval_gen_rejects_malformed_samples(ws, records, capsys):
+    write_container(ws.cfg.samples_path(-3.0), records, {"kind": "samples"})
+    capsys.readouterr()
+    assert main(["eval-gen", *ws.argv, "--scale", "-3.0"]) == 1
+    assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "record, value",
+    [("train_idx", 1000000.0), ("val_idx", -1.0), ("test_idx", 0.5), ("labels", 4.0)],
+)
+def test_train_rejects_out_of_range_dataset_records(ws, tmp_path, record, value, capsys):
+    arrays, meta = read_container(ws.cfg.resolved_data_dir / "dataset.bin")
+    arrays[record] = arrays[record].copy()
+    arrays[record][0] = value
+    write_container(tmp_path / "data" / "dataset.bin", arrays, meta)
+    argv = write_config(tmp_path / "config.json", ws.cfg, out_dir=str(tmp_path), data_dir=None)
+    capsys.readouterr()
+    assert main(["train-stage1", *argv]) == 1
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "stage1").exists()
 
 
 def test_usage_errors_exit_2(capsys):
