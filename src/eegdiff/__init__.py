@@ -56,7 +56,6 @@ from .signalio import (
     DataError,
     Dataset,
     EegWindow,
-    SemanticAnchor,
     bandpass_filter,
     generate_dataset,
     load_checkpoint,
@@ -96,7 +95,6 @@ __all__ = [
     "NonFiniteError",
     "RetrievalIndex",
     "RunConfig",
-    "SemanticAnchor",
     "ShapeError",
     "SignalAutoencoder",
     "Stage2Model",

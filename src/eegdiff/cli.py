@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .autodiff import NonFiniteError
-from .diffusion import build_schedule, class_target_latents
 from .diffusion import sample as sample_latents
 from .evaluate import (
     EvalError,
@@ -87,9 +86,8 @@ def _generate(cfg: RunConfig, scale: float, steps: int, num: int):
     data = load_dataset(cfg.resolved_data_dir)
     encoder = load_stage1_model(cfg)
     model = load_stage2_model(cfg)
-    schedule = build_schedule(cfg.schedule_steps, cfg.beta_min, cfg.beta_max)
     cond, labels = generation_conditions(cfg, data, encoder, num)
-    samples = sample_latents(model, schedule, cond, scale, steps=steps, seed=cfg.seed)
+    samples = sample_latents(model, cond, scale, steps=steps, seed=cfg.seed)
     path = cfg.samples_path(scale)
     write_container(
         path,
@@ -142,8 +140,7 @@ def _gen_metrics(cfg: RunConfig, samples: np.ndarray, labels: np.ndarray):
     data = load_dataset(cfg.resolved_data_dir)
     encoder = load_stage1_model(cfg)
     real = stage2_training_set(cfg, data, encoder)
-    anchors = class_target_latents(cfg.classes, cfg.grid, cfg.seed)
-    agree = class_agreement(samples, labels, anchors)
+    agree = class_agreement(samples, labels, real["anchors"])
     real_stats = fit_gaussian(real["x0"].reshape(len(real["x0"]), -1))
     gen_stats = fit_gaussian(np.asarray(samples).reshape(len(samples), -1))
     return agree, frechet_distance(gen_stats, real_stats)

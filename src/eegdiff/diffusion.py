@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, as_tensor
 from .losses import cfg_combine, v_loss
-from .nn import ConfigError, LayerNorm, Linear, assign_state, glorot_uniform, prefixed
+from .nn import ConfigError, LayerNorm, Linear, assign_state, glorot_uniform, multi_head_attention, prefixed
 
 ADAPTER_TOKENS = 4
 
@@ -181,27 +181,16 @@ class CrossAttention:
         if width % heads != 0:
             raise ConfigError(f"attention width {width} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = width // heads
-        self.width = width
         self.norm = LayerNorm(channels)
         self.q = Linear(rng, channels, width, bias=False)
         self.k = Linear(rng, cond_dim, width, bias=False)
         self.v = Linear(rng, cond_dim, width, bias=False)
         self.out = Linear(rng, width, channels)
 
-    def _split(self, x: Tensor) -> Tensor:
-        b, n, _ = x.shape
-        return x.reshape(b, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
         b, c, h, w = x.shape
         tokens = x.transpose(0, 2, 3, 1).reshape(b, h * w, c)
-        q = self._split(self.q(self.norm(tokens)))
-        k = self._split(self.k(cond))
-        v = self._split(self.v(cond))
-        scores = ad.mul(ad.matmul(q, k.transpose(0, 1, 3, 2)), 1.0 / np.sqrt(self.head_dim))
-        att = ad.matmul(ad.softmax(scores, axis=-1), v)
-        merged = att.transpose(0, 2, 1, 3).reshape(b, h * w, self.width)
+        merged = multi_head_attention(self.q(self.norm(tokens)), self.k(cond), self.v(cond), self.heads)
         y = ad.add(tokens, self.out(merged))
         return y.reshape(b, h, w, c).transpose(0, 3, 1, 2)
 
@@ -358,6 +347,10 @@ class Stage2Model:
     shrinks the conditional-vs-unconditional gap as t -> 0, which keeps
     guided sampling stable at large scales.  Both factors are analytic in t,
     so the trainable surface is unchanged.
+
+    ``schedule`` is the model's one noise schedule: it fixes the velocity
+    head, the training targets of :func:`stage2_train_step` and the
+    timesteps of :func:`sample`.
     """
 
     def __init__(
@@ -399,12 +392,6 @@ class Stage2Model:
         x_t = as_tensor(x_t)
         cond = self.null_condition(x_t.shape[0]) if condition is None else condition
         return self.velocity(x_t, t, self.denoiser(x_t, t, cond))
-
-
-def _check_schedule(model: Stage2Model, schedule: NoiseSchedule) -> None:
-    own = model.schedule
-    if not (np.array_equal(own.alphas, schedule.alphas) and np.array_equal(own.sigmas, schedule.sigmas)):
-        raise ConfigError("schedule does not match the one the model was built with")
 
 
 def selective_finetune_mask(model: Stage2Model) -> TrainMask:
@@ -451,7 +438,6 @@ def class_target_latents(classes: int, grid: tuple[int, int, int], seed: int) ->
 def stage2_train_step(
     batch: dict,
     model: Stage2Model,
-    schedule: NoiseSchedule,
     optimizer,
     rng: np.random.Generator,
     drop_prob: float = 0.1,
@@ -462,10 +448,10 @@ def stage2_train_step(
     ``batch`` carries plain arrays: ``x0`` (B, grid), ``cond`` latent tokens
     (B, T, D), ``pooled`` (B, D).  Per-sample timesteps, noise, and the
     condition-dropout mask all come from ``rng``; dropped samples get the
-    learned null condition.  The loss is ``losses.v_loss``, the objective
-    the gradient audit checks.
+    learned null condition.  The loss is ``losses.v_loss`` on
+    ``model.schedule``, the objective the gradient audit checks.
     """
-    _check_schedule(model, schedule)
+    schedule = model.schedule
     x0 = np.asarray(batch["x0"], dtype=np.float64)
     cond_lat = np.asarray(batch["cond"], dtype=np.float64)
     pooled = np.asarray(batch["pooled"], dtype=np.float64)
@@ -490,7 +476,6 @@ def stage2_train_step(
 
 def sample(
     model: Stage2Model,
-    schedule: NoiseSchedule,
     cond_latents,
     scale: float,
     steps: int | None = None,
@@ -498,14 +483,14 @@ def sample(
 ) -> np.ndarray:
     """Deterministic guided sampling from pure noise.
 
-    Runs the reverse process over an evenly spaced descending timestep
-    subset, combining unconditional and conditional velocity predictions at
-    ``scale``.  Each step runs the denoiser's condition-free trunk once and
-    its conditioned branch once per prediction; scale 0 never evaluates the
-    conditional branch, so its output is independent of the conditioning
-    inputs.
+    Runs the reverse process of ``model.schedule`` over an evenly spaced
+    descending subset of its timesteps, combining unconditional and
+    conditional velocity predictions at ``scale``.  Each step runs the
+    denoiser's condition-free trunk once and its conditioned branch once per
+    prediction; scale 0 never evaluates the conditional branch, so its
+    output is independent of the conditioning inputs.
     """
-    _check_schedule(model, schedule)
+    schedule = model.schedule
     cond_latents = np.asarray(cond_latents, dtype=np.float64)
     if cond_latents.ndim != 3:
         raise ShapeError(f"cond_latents must be (batch, T, D), got {cond_latents.shape}")

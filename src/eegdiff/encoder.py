@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .nn import BatchNorm, ConfigError, LayerNorm, Linear, assign_state, prefixed
+from .nn import BatchNorm, ConfigError, LayerNorm, Linear, assign_state, multi_head_attention, prefixed
 
 
 @dataclass
@@ -79,26 +79,16 @@ class SpatialBlock:
         if width % heads != 0:
             raise ConfigError(f"width {width} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = width // heads
         self.q = Linear(rng, width, width)
         self.k = Linear(rng, width, width)
         self.v = Linear(rng, width, width)
         self.out = Linear(rng, width, width)
         self.norm = LayerNorm(width)
 
-    def _split(self, x: Tensor, b: int, c: int) -> Tensor:
-        return x.reshape(b, c, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3:
             raise ShapeError(f"spatial block expects (batch, channels, width), got {x.shape}")
-        b, c, w = x.shape
-        q = self._split(self.q(x), b, c)
-        k = self._split(self.k(x), b, c)
-        v = self._split(self.v(x), b, c)
-        scores = ad.mul(ad.matmul(q, k.transpose(0, 1, 3, 2)), 1.0 / np.sqrt(self.head_dim))
-        att = ad.matmul(ad.softmax(scores, axis=-1), v)
-        merged = att.transpose(0, 2, 1, 3).reshape(b, c, w)
+        merged = multi_head_attention(self.q(x), self.k(x), self.v(x), self.heads)
         return self.norm(ad.add(x, self.out(merged)))
 
     def params(self) -> dict[str, Tensor]:

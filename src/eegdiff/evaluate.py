@@ -146,6 +146,8 @@ def _checked_cov(cov: np.ndarray, side: str) -> np.ndarray:
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise EvalError(f"{side} covariance must be square, got {cov.shape}")
+    if not np.isfinite(cov).all():
+        raise EvalError(f"{side} covariance has non-finite entries")
     if np.abs(cov - cov.T).max() > 1e-8:
         raise EvalError(f"{side} covariance is not symmetric within 1e-8")
     return (cov + cov.T) / 2.0

@@ -212,15 +212,6 @@ def preprocess(
 
 
 @dataclass
-class SemanticAnchor:
-    """Per-class anchor pair: text rows (T, D) and an image vector (D,)."""
-
-    class_id: int
-    text_embedding: np.ndarray
-    image_embedding: np.ndarray
-
-
-@dataclass
 class Dataset:
     windows: np.ndarray  # (N, C, S)
     labels: np.ndarray  # (N,) int
@@ -232,13 +223,6 @@ class Dataset:
     anchor_image: np.ndarray  # (K, D)
     window_image_emb: np.ndarray  # (N, D)
     meta: dict = field(default_factory=dict)
-
-    @property
-    def anchors(self) -> list[SemanticAnchor]:
-        return [
-            SemanticAnchor(k, self.anchor_text[k], self.anchor_image[k])
-            for k in range(self.anchor_text.shape[0])
-        ]
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:

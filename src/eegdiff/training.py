@@ -434,6 +434,19 @@ def generation_conditions(cfg: RunConfig, data: Dataset, encoder: SignalAutoenco
     return latents, data.labels[idx]
 
 
+def build_stage2_model(cfg: RunConfig, rng: np.random.Generator) -> Stage2Model:
+    """The stage-2 model of ``cfg``, initialised from ``rng``.
+
+    Its noise schedule is built here from ``cfg`` and nowhere else; training
+    and sampling read it from ``model.schedule``.
+    """
+    return Stage2Model(
+        cfg.denoiser_config(), rng,
+        latent_tokens=cfg.latent_tokens, latent_dim=cfg.latent_dim,
+        schedule=build_schedule(cfg.schedule_steps, cfg.beta_min, cfg.beta_max),
+    )
+
+
 def train_stage2(cfg: RunConfig) -> dict:
     """Selective finetuning of the conditional denoiser on frozen latents."""
     cfg.validate()
@@ -442,14 +455,7 @@ def train_stage2(cfg: RunConfig) -> dict:
     encoder = load_stage1_model(cfg)
     train_set = stage2_training_set(cfg, data, encoder)
 
-    schedule = build_schedule(cfg.schedule_steps, cfg.beta_min, cfg.beta_max)
-    model = Stage2Model(
-        cfg.denoiser_config(),
-        np.random.default_rng(np.random.SeedSequence([cfg.seed, 21])),
-        latent_tokens=cfg.latent_tokens,
-        latent_dim=cfg.latent_dim,
-        schedule=schedule,
-    )
+    model = build_stage2_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 21])))
     mask = selective_finetune_mask(model)
     trainable = apply_train_mask(model, mask)
     optimizer = Adam(trainable, cfg.lr_stage2, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
@@ -468,7 +474,7 @@ def train_stage2(cfg: RunConfig) -> dict:
             }
             try:
                 total += stage2_train_step(
-                    batch, model, schedule, optimizer, epoch_rng,
+                    batch, model, optimizer, epoch_rng,
                     drop_prob=cfg.drop_prob, gamma=cfg.gamma,
                 )
             except NonFiniteError as exc:
@@ -497,11 +503,7 @@ def load_stage2_model(cfg: RunConfig) -> Stage2Model:
     state, meta = load_checkpoint(cfg.stage2_checkpoint)
     if meta.get("stage") != 2:
         raise ConfigError(f"{cfg.stage2_checkpoint} is not a stage-2 checkpoint")
-    model = Stage2Model(
-        cfg.denoiser_config(), np.random.default_rng(0),
-        latent_tokens=cfg.latent_tokens, latent_dim=cfg.latent_dim,
-        schedule=build_schedule(cfg.schedule_steps, cfg.beta_min, cfg.beta_max),
-    )
+    model = build_stage2_model(cfg, np.random.default_rng(0))
     model.load_state(state)
     return model
 
@@ -655,31 +657,29 @@ def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, fl
 
     tiny_grid = (2, 4, 4)
 
-    def build_adapter(rng):
-        model = Stage2Model(
+    def tiny_stage2(rng):
+        return Stage2Model(
             DenoiserConfig(cond_dim=4, grid=tiny_grid, widths=(4, 8), attn_width=4,
                            attn_heads=2, time_dim=8),
             rng, latent_tokens=2, latent_dim=4, schedule=build_schedule(10),
         )
+
+    def build_adapter(rng):
+        model = tiny_stage2(rng)
         wsum = Tensor(rng.normal(size=(3, 4, 4)))
         return (lambda x: ad.sum_(ad.mul(model.adapter(x), wsum)), rng.normal(size=(3, 4)))
 
     run("adapter", build_adapter)
 
     def build_vloss(rng):
-        schedule = build_schedule(10)
-        model = Stage2Model(
-            DenoiserConfig(cond_dim=4, grid=tiny_grid, widths=(4, 8), attn_width=4,
-                           attn_heads=2, time_dim=8),
-            rng, latent_tokens=2, latent_dim=4, schedule=schedule,
-        )
+        model = tiny_stage2(rng)
         noise = Tensor(rng.standard_normal((2,) + tiny_grid))
         pooled = Tensor(rng.normal(size=(2, 4)))
         lat = Tensor(rng.normal(size=(2, 2, 4)))
 
         def fn(x0):
             cond = build_condition(lat, model.adapter(pooled))
-            return v_loss(x0, noise, np.array([2, 7]), cond, model.denoise, schedule)
+            return v_loss(x0, noise, np.array([2, 7]), cond, model.denoise, model.schedule)
 
         return fn, rng.standard_normal((2,) + tiny_grid)
 
@@ -699,11 +699,7 @@ def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, fl
     run("v_loss", build_vloss_plain)
 
     def build_denoise(rng):
-        model = Stage2Model(
-            DenoiserConfig(cond_dim=4, grid=tiny_grid, widths=(4, 8), attn_width=4,
-                           attn_heads=2, time_dim=8),
-            rng, latent_tokens=2, latent_dim=4, schedule=build_schedule(10),
-        )
+        model = tiny_stage2(rng)
         cond = Tensor(rng.normal(size=(2, 6, 4)))
         wsum = Tensor(rng.normal(size=(2,) + tiny_grid))
         return (

@@ -211,7 +211,7 @@ def test_criterion_5_selective_finetune_audit():
             "cond": rng.normal(size=(4, 3, 8)),
             "pooled": rng.normal(size=(4, 8)),
         }
-        stage2_train_step(batch, model, model.schedule, opt, rng)
+        stage2_train_step(batch, model, opt, rng)
     after = model.params()
     frozen_names = [k for k in before if k not in mask]
     frozen_ok = all(before[k].tobytes() == after[k].data.tobytes() for k in frozen_names)
@@ -266,11 +266,10 @@ def test_criterion_8_guidance_direction(desk):
     train_set = stage2_training_set(cfg, desk.data, encoder)
     real = fit_gaussian(train_set["x0"].reshape(len(train_set["x0"]), -1))
     conds, labels = generation_conditions(cfg, desk.data, encoder, cfg.num_samples)
-    schedule = build_schedule(cfg.schedule_steps, cfg.beta_min, cfg.beta_max)
 
     results = {}
     for scale in (0.0, cfg.guidance_scale):
-        gen = sample(model, schedule, conds, scale, cfg.sample_steps, seed=cfg.seed)
+        gen = sample(model, conds, scale, cfg.sample_steps, seed=cfg.seed)
         results[scale] = (
             class_agreement(gen, labels, train_set["anchors"]),
             frechet_distance(real, fit_gaussian(gen.reshape(len(gen), -1))),

@@ -218,7 +218,7 @@ def test_sample_matches_two_pass_reference(batch):
     cond_latents = np.random.default_rng(9).normal(size=(batch, 4, 8))
     outs = {}
     for scale in (0.0, 1.0, 7.5):
-        outs[scale] = sample(model, model.schedule, cond_latents, scale, steps=6, seed=2)
+        outs[scale] = sample(model, cond_latents, scale, steps=6, seed=2)
         np.testing.assert_array_equal(outs[scale], two_pass_sample(model, cond_latents, scale, 6, 2))
     assert not np.array_equal(outs[0.0], outs[7.5])
 
@@ -231,7 +231,7 @@ def test_guided_step_shares_the_trunk(monkeypatch):
     cond_latents = np.zeros((2, 4, 8))
     for scale, per_step in [(7.5, 12), (0.0, 7)]:
         calls.clear()
-        sample(model, model.schedule, cond_latents, scale, steps=3)
+        sample(model, cond_latents, scale, steps=3)
         assert len(calls) == 3 * per_step
 
 
@@ -311,8 +311,7 @@ def test_train_step_updates_only_masked_params(rng):
     trainable = apply_train_mask(model, mask)
     before = model.state()
     opt = Adam(trainable, 1e-3)
-    loss = stage2_train_step(batch_for(model, rng), model, model.schedule, opt,
-                             np.random.default_rng(0), drop_prob=0.5)
+    loss = stage2_train_step(batch_for(model, rng), model, opt, np.random.default_rng(0), drop_prob=0.5)
     assert np.isfinite(loss)
     after = model.state()
     for name in before:
@@ -328,8 +327,7 @@ def test_train_step_skips_frozen_gradients(rng):
     mask = selective_finetune_mask(frozen_model)
     trainable = apply_train_mask(frozen_model, mask)
     for model, params in ((frozen_model, trainable), (open_model, open_model.params())):
-        stage2_train_step(batch, model, model.schedule, Adam(params, 1e-3),
-                          np.random.default_rng(0), drop_prob=0.5)
+        stage2_train_step(batch, model, Adam(params, 1e-3), np.random.default_rng(0), drop_prob=0.5)
     open_params = open_model.params()
     for name, p in frozen_model.params().items():
         if name in mask:
@@ -342,20 +340,21 @@ def test_train_step_graph_needs_no_cyclic_gc(rng):
     model = tiny_model()
     opt = Adam(apply_train_mask(model, selective_finetune_mask(model)), 1e-3)
     step_rng = np.random.default_rng(0)
-    stage2_train_step(batch_for(model, rng), model, model.schedule, opt, step_rng)
+    stage2_train_step(batch_for(model, rng), model, opt, step_rng)
     batch = batch_for(model, rng)
     gc.collect()
     gc.disable()
     try:
-        stage2_train_step(batch, model, model.schedule, opt, step_rng)
+        stage2_train_step(batch, model, opt, step_rng)
         # reference counting alone freed the step's graph
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
-def inline_loss_train_step(batch, model, schedule, optimizer, rng, drop_prob, gamma=0.5):
+def inline_loss_train_step(batch, model, optimizer, rng, drop_prob, gamma=0.5):
     """Reference stage-2 step with the weighted velocity loss written out inline."""
+    schedule = model.schedule
     x0, cond_lat, pooled = batch["x0"], batch["cond"], batch["pooled"]
     b = x0.shape[0]
     t = rng.integers(0, schedule.steps, size=b)
@@ -386,20 +385,12 @@ def test_train_step_matches_inline_loss_reference(rng):
         model = tiny_model()
         opt = Adam(apply_train_mask(model, selective_finetune_mask(model)), 1e-3)
         step_rng = np.random.default_rng(5)
-        losses = [step(batch, model, model.schedule, opt, step_rng, drop_prob=0.5) for batch in batches]
+        losses = [step(batch, model, opt, step_rng, drop_prob=0.5) for batch in batches]
         runs.append((losses, model.state()))
     (losses, state), (ref_losses, ref_state) = runs
     assert losses == ref_losses
     for name in ref_state:
         np.testing.assert_array_equal(state[name], ref_state[name], err_msg=name)
-
-
-def test_train_step_rejects_foreign_schedule(rng):
-    model = tiny_model()
-    opt = Adam(apply_train_mask(model, selective_finetune_mask(model)), 1e-3)
-    with pytest.raises(ConfigError):
-        stage2_train_step(batch_for(model, rng), model, build_schedule(10, beta_max=0.05),
-                          opt, np.random.default_rng(0))
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -408,18 +399,18 @@ def test_train_step_rejects_foreign_schedule(rng):
 def test_sample_deterministic_and_shaped(rng):
     model = tiny_model()
     cond = rng.normal(size=(3, 4, 8))
-    one = sample(model, model.schedule, cond, 2.0, steps=5, seed=9)
-    two = sample(model, model.schedule, cond, 2.0, steps=5, seed=9)
+    one = sample(model, cond, 2.0, steps=5, seed=9)
+    two = sample(model, cond, 2.0, steps=5, seed=9)
     np.testing.assert_array_equal(one, two)
     assert one.shape == (3, 2, 4, 4)
-    other = sample(model, model.schedule, cond, 2.0, steps=5, seed=10)
+    other = sample(model, cond, 2.0, steps=5, seed=10)
     assert not np.array_equal(one, other)
 
 
 def test_sample_scale_zero_ignores_conditioning(rng):
     model = tiny_model()
-    a = sample(model, model.schedule, rng.normal(size=(2, 4, 8)), 0.0, steps=4, seed=3)
-    b = sample(model, model.schedule, rng.normal(size=(2, 4, 8)), 0.0, steps=4, seed=3)
+    a = sample(model, rng.normal(size=(2, 4, 8)), 0.0, steps=4, seed=3)
+    b = sample(model, rng.normal(size=(2, 4, 8)), 0.0, steps=4, seed=3)
     np.testing.assert_array_equal(a, b)
 
 
@@ -427,16 +418,16 @@ def test_sample_validates_steps_and_shape(rng):
     model = tiny_model()
     cond = rng.normal(size=(2, 4, 8))
     with pytest.raises(ConfigError):
-        sample(model, model.schedule, cond, 1.0, steps=0)
+        sample(model, cond, 1.0, steps=0)
     with pytest.raises(ConfigError):
-        sample(model, model.schedule, cond, 1.0, steps=99)
+        sample(model, cond, 1.0, steps=99)
     with pytest.raises(ShapeError):
-        sample(model, model.schedule, rng.normal(size=(2, 8)), 1.0, steps=2)
+        sample(model, rng.normal(size=(2, 8)), 1.0, steps=2)
 
 
 def test_sample_leaves_grad_flags_intact(rng):
     model = tiny_model()
     apply_train_mask(model, selective_finetune_mask(model))
     saved = {n: p.requires_grad for n, p in model.params().items()}
-    sample(model, model.schedule, rng.normal(size=(2, 4, 8)), 1.5, steps=3)
+    sample(model, rng.normal(size=(2, 4, 8)), 1.5, steps=3)
     assert {n: p.requires_grad for n, p in model.params().items()} == saved

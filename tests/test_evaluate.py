@@ -146,6 +146,19 @@ def test_frechet_rejects_non_psd():
         frechet_distance(asym, good)
 
 
+def test_frechet_rejects_non_finite_covariance(rng):
+    good = GaussianStats(mean=np.zeros(2), cov=np.eye(2))
+    for value in (np.inf, np.nan):
+        bad = GaussianStats(mean=np.zeros(2), cov=np.array([[1.0, 0.0], [0.0, value]]))
+        with pytest.raises(EvalError, match="non-finite"):
+            frechet_distance(good, bad)
+    # finite rows whose covariance overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = fit_gaussian(1e300 * rng.normal(size=(8, 2)))
+    with pytest.raises(EvalError, match="non-finite"):
+        frechet_distance(huge, good)
+
+
 def test_fit_gaussian_requires_rows(rng):
     with pytest.raises(EvalError):
         fit_gaussian(rng.normal(size=(1, 3)))

@@ -264,8 +264,9 @@ def test_diverging_sampler_exits_1(ws, monkeypatch, capsys):
         {"samples": np.zeros((4, 2, 4, 4))},
         {"samples": np.zeros((4, 2, 4, 4)), "labels": np.zeros(3)},
         {"samples": np.full((4, 2, 4, 4), np.nan), "labels": np.zeros(4)},
+        {"samples": 1e300 * np.arange(128.0).reshape(4, 2, 4, 4), "labels": np.zeros(4)},
     ],
-    ids=["no-labels", "length-mismatch", "non-finite"],
+    ids=["no-labels", "length-mismatch", "non-finite", "huge-finite"],
 )
 def test_eval_gen_rejects_malformed_samples(ws, records, capsys):
     write_container(ws.cfg.samples_path(-3.0), records, {"kind": "samples"})

@@ -36,7 +36,9 @@ run sample --scale 7.5
 run sample --scale 0
 run sample --scale 1 --num 1
 run eval-gen --scale 7.5
+run cfg-sweep --scales 2,3 --num 8
 run eval-retrieval
+run grad-check --seeds 3
 
 cd "$work/out"
 find . -type f -print0 | LC_ALL=C sort -z | xargs -0 sha256sum
