@@ -29,6 +29,11 @@ Design notes:
 * graphs are acyclic: a VJP receives the output gradient as its argument
   and holds input tensors and arrays, never its own output, so reference
   counting frees a graph as soon as its root is dropped,
+* a node adopts its first incoming gradient array as its ``.grad`` when the
+  array is writeable and has the node's data strides, and copies it
+  otherwise; later contributions are summed into fresh arrays.  So ``.grad``
+  arrays may share memory with each other (an ``add`` hands one array to
+  both operands): read them, never write them in place,
 * ``backward()`` resets gradients before accumulating, so calling it twice
   yields identical results.
 
@@ -138,9 +143,25 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        """Add the gradient contribution ``g`` to ``.grad``.
+
+        The first contribution is adopted as ``.grad`` itself when it is
+        writeable and laid out like ``.data`` (equal strides); otherwise it
+        is copied into a fresh ``np.empty_like(self.data)``.  Each later
+        contribution is summed into another fresh array.  No gradient array
+        is ever written in place, because an adopted ``g`` may be the
+        gradient of another node or a view of it.  For the dense ``.data``
+        that ops produce, both layouts are the one ``np.zeros_like`` gives,
+        so the GEMMs and reductions that read ``.grad`` see the operands a
+        zero-filled buffer would give them, with the values of
+        ``0 + g1 + g2 + ...``.
+        """
+        if self.grad is not None:
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.data))
+        elif g.strides == self.data.strides and g.flags.writeable:
+            self.grad = g
+        else:
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
 
     def backward(self) -> dict["Tensor", np.ndarray]:
         """Backpropagate from a scalar root.
@@ -440,7 +461,11 @@ def standardize(x, axis, eps: float) -> Tensor:
     axes = _norm_axes(axis, x.ndim)
     mu = x.data.mean(axis=axes, keepdims=True)
     centered = x.data - mu
-    var = (centered * centered).mean(axis=axes, keepdims=True)
+    # An overflowing variance would turn ``inv`` into 0 and the output into
+    # finite zeros, which the output probe cannot see: probe it here.
+    with np.errstate(over="ignore"):
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+    _check_finite(var, "standardize")
     inv = 1.0 / np.sqrt(var + eps)
     y = centered * inv
 
@@ -544,6 +569,15 @@ def crop_last2(x, top: int, left: int, height: int, width: int) -> Tensor:
     return _make(x.data[sl], (x,), (vjp,), "crop_last2")
 
 
+# Window offset d = 0, 1, 2 moves output row i to input row i + d - 1: the
+# (output rows, input rows) slices of that shift that stay inside the image.
+_IM2COL_SPANS = (
+    (slice(1, None), slice(None, -1)),
+    (slice(None), slice(None)),
+    (slice(None, -1), slice(1, None)),
+)
+
+
 def im2col3x3(x) -> Tensor:
     """Unfold the 3x3 zero-padded neighbourhoods of a (B, C, H, W) tensor.
 
@@ -551,8 +585,12 @@ def im2col3x3(x) -> Tensor:
     (Chellapilla et al. 2006): row ``(b, i, j)`` holds ``x[b, c, i+dy-1,
     j+dx-1]`` at column ``(dy*3 + dx)*C + c``, zero outside the image.  The
     forward pass is one copy out of a strided window view of a channel-last
-    padded buffer; the backward pass adds the nine shifted gradient slabs
-    into one padded buffer in ascending ``(dy, dx)`` order.
+    padded buffer.  The backward pass adds the in-image part of each of the
+    nine shifted gradient slabs, in ascending ``(dy, dx)`` order, into one
+    zeroed, unpadded channel-last (B, H, W, C) buffer and returns its
+    (B, C, H, W) view.  When ``x`` is itself channel-last, as the output of
+    another ``Conv3x3`` is, that view has ``x``'s strides and the engine
+    adopts it as the gradient without a copy.
     """
     x = as_tensor(x)
     if x.ndim != 4:
@@ -569,11 +607,11 @@ def im2col3x3(x) -> Tensor:
 
     def vjp(g):
         g = g.reshape(b, h, w, 3, 3, c)
-        acc = np.zeros((b, h + 2, w + 2, c))
-        for dy in range(3):
-            for dx in range(3):
-                acc[:, dy : dy + h, dx : dx + w, :] += g[:, :, :, dy, dx, :]
-        return acc[:, 1:-1, 1:-1, :].transpose(0, 3, 1, 2)
+        acc = np.zeros((b, h, w, c))
+        for dy, (src_y, dst_y) in enumerate(_IM2COL_SPANS):
+            for dx, (src_x, dst_x) in enumerate(_IM2COL_SPANS):
+                acc[:, dst_y, dst_x, :] += g[:, src_y, src_x, dy, dx, :]
+        return acc.transpose(0, 3, 1, 2)
 
     return _make(cols, (x,), (vjp,), "im2col3x3")
 

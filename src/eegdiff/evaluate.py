@@ -137,9 +137,12 @@ def fit_gaussian(x) -> GaussianStats:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 2:
         raise EvalError(f"fit_gaussian needs at least 2 rows of (N, D), got {x.shape}")
-    mean = x.mean(axis=0)
-    cov = np.atleast_2d(np.cov(x, rowvar=False))
-    return GaussianStats(mean=mean, cov=(cov + cov.T) / 2.0)
+    # Huge finite rows overflow the covariance; `frechet_distance` rejects
+    # the non-finite result with an `EvalError`, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        cov = np.atleast_2d(np.cov(x, rowvar=False))
+        return GaussianStats(mean=mean, cov=(cov + cov.T) / 2.0)
 
 
 def _checked_cov(cov: np.ndarray, side: str) -> np.ndarray:
@@ -204,7 +207,11 @@ def class_agreement(generated, labels, anchors) -> float:
         raise EvalError(
             f"sample size {flat.shape[1]} does not match anchor size {flat_anchors.shape[1]}"
         )
-    nearest = np.argmax(_cos_matrix(flat, flat_anchors), axis=1)
+    # Huge finite samples overflow the norms, and their cosines come out 0
+    # or NaN without a numpy warning; `eval-gen` rejects such samples when
+    # the Fréchet distance checks their covariance.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nearest = np.argmax(_cos_matrix(flat, flat_anchors), axis=1)
     return float(np.mean(nearest == labels))
 
 

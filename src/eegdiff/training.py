@@ -516,6 +516,51 @@ def _offset_from_zero(x: np.ndarray, margin: float = 0.2) -> np.ndarray:
     return x + margin * np.where(x >= 0, 1.0, -1.0)
 
 
+def primitive_cases(rng: np.random.Generator) -> dict:
+    """The audited primitive targets: kind -> (scalar map of one leaf, point)."""
+    const = Tensor(_offset_from_zero(rng.normal(size=(3, 4))))
+    w = Tensor(rng.normal(size=(3, 4)))
+    w2 = Tensor(rng.normal(size=(4, 2)))
+    w32 = Tensor(rng.normal(size=(3, 2)))
+    w31 = Tensor(rng.normal(size=(3, 1)))
+    w14 = Tensor(rng.normal(size=(1, 4)))
+    w64 = Tensor(rng.normal(size=(6, 4)))
+    w43 = Tensor(rng.normal(size=(4, 3)))
+    w3 = Tensor(rng.normal(size=3))
+    w56 = Tensor(rng.normal(size=(5, 6)))
+    w22 = Tensor(rng.normal(size=(2, 2)))
+    cases = {
+        "matmul": (lambda x: ad.sum_(ad.mul(ad.matmul(x, w2), w32)), rng.normal(size=(3, 4))),
+        "add": (lambda x: ad.sum_(ad.mul(ad.add(x, const), w)), rng.normal(size=(3, 4))),
+        "sub": (lambda x: ad.sum_(ad.mul(ad.sub(x, const), w)), rng.normal(size=(3, 4))),
+        "mul": (lambda x: ad.sum_(ad.mul(ad.mul(x, const), w)), rng.normal(size=(3, 4))),
+        "div": (lambda x: ad.sum_(ad.mul(ad.div(x, ad.add(ad.abs_(const), 0.5)), w)), rng.normal(size=(3, 4))),
+        "scalar-mul": (lambda x: ad.sum_(ad.mul(ad.mul(x, 1.7), w)), rng.normal(size=(3, 4))),
+        "abs": (lambda x: ad.sum_(ad.mul(ad.abs_(x), w)), _offset_from_zero(rng.normal(size=(3, 4)))),
+        "elementwise-min": (lambda x: ad.sum_(ad.mul(ad.minimum(x, const), w)), _offset_from_zero(rng.normal(size=(3, 4))) + 0.05),
+        "sigmoid": (lambda x: ad.sum_(ad.mul(ad.sigmoid(x), w)), rng.normal(size=(3, 4))),
+        "relu": (lambda x: ad.sum_(ad.mul(ad.relu(x), w)), _offset_from_zero(rng.normal(size=(3, 4)))),
+        "softmax": (lambda x: ad.sum_(ad.mul(ad.softmax(x, axis=-1), w)), rng.normal(size=(3, 4))),
+        "layer-normalize": (lambda x: ad.sum_(ad.mul(ad.layer_norm(x), w)), rng.normal(size=(3, 4))),
+        "batch-normalize": (lambda x: ad.sum_(ad.mul(ad.batch_norm_train(x), w)), rng.normal(size=(3, 4))),
+        "mean": (lambda x: ad.sum_(ad.mul(ad.mean(x, axis=1, keepdims=True), w31)), rng.normal(size=(3, 4))),
+        "sum": (lambda x: ad.sum_(ad.mul(ad.sum_(x, axis=0, keepdims=True), w14)), rng.normal(size=(3, 4))),
+        "concat": (lambda x: ad.sum_(ad.mul(ad.concat([x, ad.mul(x, 2.0)], axis=0), w64)), rng.normal(size=(3, 4))),
+        "reshape": (lambda x: ad.sum_(ad.mul(ad.reshape(x, (4, 3)), w43)), rng.normal(size=(3, 4))),
+        "transpose": (lambda x: ad.sum_(ad.mul(ad.transpose(x, (1, 0)), w43)), rng.normal(size=(3, 4))),
+        "exp": (lambda x: ad.sum_(ad.mul(ad.exp(x), w)), rng.normal(size=(3, 4))),
+        "log": (lambda x: ad.sum_(ad.mul(ad.log(x), w)), np.abs(rng.normal(size=(3, 4))) + 0.5),
+        "power": (lambda x: ad.sum_(ad.mul(ad.power(x, 2.5), w)), np.abs(rng.normal(size=(3, 4))) + 0.5),
+        "cosine-similarity": (lambda x: ad.sum_(ad.mul(ad.cosine_similarity(x, const), w3)), rng.normal(size=(3, 4))),
+        "pad-last2": (lambda x: ad.sum_(ad.mul(ad.pad_last2(x, 1), w56)), rng.normal(size=(3, 4))),
+        "crop-last2": (lambda x: ad.sum_(ad.mul(ad.crop_last2(x, 1, 1, 2, 2), w22)), rng.normal(size=(3, 4))),
+    }
+    # drawn after the cases above so their points stay the same
+    w_cols = Tensor(rng.normal(size=(12, 18)))
+    cases["im2col3x3"] = (lambda x: ad.sum_(ad.mul(ad.im2col3x3(x), w_cols)), rng.normal(size=(2, 2, 2, 3)))
+    return cases
+
+
 def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, float]]:
     """Max relative gradient error per audited target over ``seeds`` seeds."""
     results: list[tuple[str, float]] = []
@@ -528,49 +573,6 @@ def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, fl
             fn, point = build(rng)
             worst = max(worst, ad.grad_check(fn, point, epsilon))
         results.append((name, worst))
-
-    def primitive_cases(rng):
-        const = Tensor(_offset_from_zero(rng.normal(size=(3, 4))))
-        w = Tensor(rng.normal(size=(3, 4)))
-        w2 = Tensor(rng.normal(size=(4, 2)))
-        w32 = Tensor(rng.normal(size=(3, 2)))
-        w31 = Tensor(rng.normal(size=(3, 1)))
-        w14 = Tensor(rng.normal(size=(1, 4)))
-        w64 = Tensor(rng.normal(size=(6, 4)))
-        w43 = Tensor(rng.normal(size=(4, 3)))
-        w3 = Tensor(rng.normal(size=3))
-        w56 = Tensor(rng.normal(size=(5, 6)))
-        w22 = Tensor(rng.normal(size=(2, 2)))
-        cases = {
-            "matmul": (lambda x: ad.sum_(ad.mul(ad.matmul(x, w2), w32)), rng.normal(size=(3, 4))),
-            "add": (lambda x: ad.sum_(ad.mul(ad.add(x, const), w)), rng.normal(size=(3, 4))),
-            "sub": (lambda x: ad.sum_(ad.mul(ad.sub(x, const), w)), rng.normal(size=(3, 4))),
-            "mul": (lambda x: ad.sum_(ad.mul(ad.mul(x, const), w)), rng.normal(size=(3, 4))),
-            "div": (lambda x: ad.sum_(ad.mul(ad.div(x, ad.add(ad.abs_(const), 0.5)), w)), rng.normal(size=(3, 4))),
-            "scalar-mul": (lambda x: ad.sum_(ad.mul(ad.mul(x, 1.7), w)), rng.normal(size=(3, 4))),
-            "abs": (lambda x: ad.sum_(ad.mul(ad.abs_(x), w)), _offset_from_zero(rng.normal(size=(3, 4)))),
-            "elementwise-min": (lambda x: ad.sum_(ad.mul(ad.minimum(x, const), w)), _offset_from_zero(rng.normal(size=(3, 4))) + 0.05),
-            "sigmoid": (lambda x: ad.sum_(ad.mul(ad.sigmoid(x), w)), rng.normal(size=(3, 4))),
-            "relu": (lambda x: ad.sum_(ad.mul(ad.relu(x), w)), _offset_from_zero(rng.normal(size=(3, 4)))),
-            "softmax": (lambda x: ad.sum_(ad.mul(ad.softmax(x, axis=-1), w)), rng.normal(size=(3, 4))),
-            "layer-normalize": (lambda x: ad.sum_(ad.mul(ad.layer_norm(x), w)), rng.normal(size=(3, 4))),
-            "batch-normalize": (lambda x: ad.sum_(ad.mul(ad.batch_norm_train(x), w)), rng.normal(size=(3, 4))),
-            "mean": (lambda x: ad.sum_(ad.mul(ad.mean(x, axis=1, keepdims=True), w31)), rng.normal(size=(3, 4))),
-            "sum": (lambda x: ad.sum_(ad.mul(ad.sum_(x, axis=0, keepdims=True), w14)), rng.normal(size=(3, 4))),
-            "concat": (lambda x: ad.sum_(ad.mul(ad.concat([x, ad.mul(x, 2.0)], axis=0), w64)), rng.normal(size=(3, 4))),
-            "reshape": (lambda x: ad.sum_(ad.mul(ad.reshape(x, (4, 3)), w43)), rng.normal(size=(3, 4))),
-            "transpose": (lambda x: ad.sum_(ad.mul(ad.transpose(x, (1, 0)), w43)), rng.normal(size=(3, 4))),
-            "exp": (lambda x: ad.sum_(ad.mul(ad.exp(x), w)), rng.normal(size=(3, 4))),
-            "log": (lambda x: ad.sum_(ad.mul(ad.log(x), w)), np.abs(rng.normal(size=(3, 4))) + 0.5),
-            "power": (lambda x: ad.sum_(ad.mul(ad.power(x, 2.5), w)), np.abs(rng.normal(size=(3, 4))) + 0.5),
-            "cosine-similarity": (lambda x: ad.sum_(ad.mul(ad.cosine_similarity(x, const), w3)), rng.normal(size=(3, 4))),
-            "pad-last2": (lambda x: ad.sum_(ad.mul(ad.pad_last2(x, 1), w56)), rng.normal(size=(3, 4))),
-            "crop-last2": (lambda x: ad.sum_(ad.mul(ad.crop_last2(x, 1, 1, 2, 2), w22)), rng.normal(size=(3, 4))),
-        }
-        # drawn after the cases above so their points stay the same
-        w_cols = Tensor(rng.normal(size=(12, 18)))
-        cases["im2col3x3"] = (lambda x: ad.sum_(ad.mul(ad.im2col3x3(x), w_cols)), rng.normal(size=(2, 2, 2, 3)))
-        return cases
 
     # primitives: audit each kind, report the worst
     worst_prim = 0.0

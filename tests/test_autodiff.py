@@ -7,8 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import tiny_config
 from eegdiff import autodiff as ad
 from eegdiff.autodiff import NonFiniteError, ShapeError, Tensor
+from eegdiff.diffusion import apply_train_mask, selective_finetune_mask, stage2_train_step
+from eegdiff.encoder import SignalAutoencoder, mean_pool_latent
+from eegdiff.losses import stage1_loss_terms
+from eegdiff.training import Adam, build_stage2_model, primitive_cases
 
 
 def test_tensor_basics(rng):
@@ -123,6 +128,85 @@ def test_engine_skips_frozen_parents(op, rng):
         gc.enable()
 
 
+def zero_fill_accumulate(self, g):
+    """Reference accumulation: zero a buffer like ``.data``, then add every
+    contribution into it in place."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_adopted_gradients_match_zero_fill_on_primitives(seed, monkeypatch):
+    def leaf_grads():
+        rng = np.random.default_rng(np.random.SeedSequence([1000 + seed, 0]))
+        grads = {}
+        for kind, (fn, point) in primitive_cases(rng).items():
+            x = Tensor(point, requires_grad=True)
+            fn(x).backward()
+            grads[kind] = x.grad
+        return grads
+
+    adopted = leaf_grads()
+    monkeypatch.setattr(Tensor, "_accumulate", zero_fill_accumulate)
+    reference = leaf_grads()
+    for kind, grad in reference.items():
+        assert np.array_equal(adopted[kind], grad), kind
+        assert adopted[kind].strides == grad.strides, kind
+
+
+def train_three_steps(stage: int) -> dict:
+    """Model state after three stage-1 or stage-2 steps at the tiny config."""
+    cfg = tiny_config()
+    rng = np.random.default_rng(8)
+    b = cfg.batch_size
+    if stage == 1:
+        model = SignalAutoencoder(cfg.encoder_config(), rng)
+        opt = Adam(model.params(), cfg.lr_stage1)
+        for _ in range(3):
+            x = Tensor(rng.normal(size=(b, cfg.channels, cfg.samples)))
+            z = model.encode_batch(x, training=True)
+            total, _ = stage1_loss_terms(
+                x, model.decode_batch(z), z, Tensor(rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim))),
+                mean_pool_latent(z), Tensor(rng.normal(size=(b, cfg.latent_dim))), cfg.loss_weights,
+            )
+            opt.zero_grad()
+            total.backward()
+            opt.step()
+    else:
+        model = build_stage2_model(cfg, rng)
+        opt = Adam(apply_train_mask(model, selective_finetune_mask(model)), cfg.lr_stage2)
+        for _ in range(3):
+            batch = {
+                "x0": rng.normal(size=(b,) + cfg.grid),
+                "cond": rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim)),
+                "pooled": rng.normal(size=(b, cfg.latent_dim)),
+            }
+            stage2_train_step(batch, model, opt, rng, drop_prob=0.5)
+    return model.state()
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_adopted_gradients_match_zero_fill_in_training(stage, monkeypatch):
+    adopted = train_three_steps(stage)
+    monkeypatch.setattr(Tensor, "_accumulate", zero_fill_accumulate)
+    reference = train_three_steps(stage)
+    assert adopted.keys() == reference.keys()
+    for name, value in reference.items():
+        assert np.array_equal(adopted[name], value), name
+
+
+def test_adopted_gradient_is_never_written_in_place(rng):
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    w = rng.normal(size=(2, 3))
+    # a and b both take the add node's gradient array as their own; a then
+    # gets a second contribution through the mul node.
+    ad.sum_(ad.mul(ad.add(ad.add(a, b), ad.mul(a, 2.0)), w)).backward()
+    np.testing.assert_array_equal(b.grad, w)
+    np.testing.assert_array_equal(a.grad, w + 2.0 * w)
+
+
 def test_matmul_shape_errors():
     with pytest.raises(ShapeError):
         ad.matmul(Tensor(np.ones(3)), Tensor(np.ones((3, 2))))
@@ -229,6 +313,13 @@ def test_layer_norm_standardizes_rows(rng):
     y = ad.layer_norm(Tensor(rng.normal(size=(5, 8)))).data
     np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+def test_standardize_rejects_overflowing_variance(axis):
+    rows = np.array([[1e200, -1e200, 1e200], [-1e200, 1e200, -1e200]])
+    with pytest.raises(NonFiniteError, match="standardize"):
+        ad.standardize(Tensor(rows), axis=axis, eps=1e-12)
 
 
 def test_batch_norm_standardizes_columns(rng):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -271,8 +272,23 @@ def test_diverging_sampler_exits_1(ws, monkeypatch, capsys):
 def test_eval_gen_rejects_malformed_samples(ws, records, capsys):
     write_container(ws.cfg.samples_path(-3.0), records, {"kind": "samples"})
     capsys.readouterr()
-    assert main(["eval-gen", *ws.argv, "--scale", "-3.0"]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval-gen", *ws.argv, "--scale", "-3.0"]) == 1
     assert_one_error_line(capsys)
+    assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e300"])
+def test_huge_scale_sample_exits_1(ws, scale, capsys):
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sample", *ws.argv, "--scale", scale]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: operation 'standardize' produced non-finite values\n", err
+    assert not caught, [str(w.message) for w in caught]
+    assert not ws.cfg.samples_path(float(scale)).exists()
 
 
 @pytest.mark.parametrize(
