@@ -11,10 +11,11 @@ Design notes:
 * everything is float64; inputs are coerced on construction,
 * the non-finite probe runs where a NaN/Inf can be born: on every leaf and
   on every op that can turn finite inputs non-finite (arithmetic,
-  ``exp``/``log``/``power``, ``matmul``, reductions and normalizers), which
-  raises :class:`NonFiniteError` naming the op (overflowing ops error rather
-  than clamp).  Copy, selection and bounded ops (:data:`FINITE_PRESERVING`)
-  skip it: their inputs were probed when they were made,
+  ``exp``/``log``/``power``, ``matmul``/``linear``, reductions and
+  normalizers), which raises :class:`NonFiniteError` naming the op
+  (overflowing ops error rather than clamp).  Copy, selection and bounded
+  ops (:data:`FINITE_PRESERVING`) skip it: their inputs were probed when
+  they were made,
 * an op extends the graph only when some input has ``requires_grad`` and
   gradients are enabled; inside :func:`no_grad` no op records parents, so
   eval-mode passes build no graph,
@@ -39,10 +40,12 @@ Design notes:
 
 Primitives (also reachable by name through :data:`PRIMITIVES`): elementwise
 ``add``/``sub``/``mul``/``div``/``power``/``exp``/``log``/``abs_``/
-``minimum``/``relu``/``sigmoid``; ``matmul``; reductions and normalizers
+``minimum``/``relu``/``sigmoid``; ``matmul`` and ``linear``, the affine map
+behind ``nn.Linear`` and ``diffusion.Conv3x3``; reductions and normalizers
 ``sum_``/``mean``/``softmax``/``standardize``/``cosine_similarity``; and
-structural ``reshape``/``transpose``/``concat``/``pad_last2``/``crop_last2``
-and ``im2col3x3``, the 3x3 patch unfold behind ``diffusion.Conv3x3``.
+structural ``reshape``/``transpose``/``concat``/``pad_last2``/``crop_last2``,
+``im2col3x3``, the 3x3 patch unfold behind ``diffusion.Conv3x3``, and
+``upsample2``, the nearest-neighbour 2x upsampling of the denoiser.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class NonFiniteError(FloatingPointError):
 # finite inputs, which were probed when they were made, give finite outputs.
 FINITE_PRESERVING = frozenset(
     {"reshape", "transpose", "concat", "pad_last2", "crop_last2", "im2col3x3",
-     "relu", "abs", "minimum", "sigmoid", "softmax"}
+     "upsample2", "relu", "abs", "minimum", "sigmoid", "softmax"}
 )
 
 _grad_enabled = True
@@ -345,6 +348,34 @@ def matmul(a, b) -> Tensor:
     )
 
 
+def linear(x, w, b=None) -> Tensor:
+    """Affine map ``x @ w (+ b)`` as one node: the bias is added in place
+    into the fresh GEMM output, so the layer makes one (..., N) array, one
+    probe and one graph node.  Values and gradients equal those of
+    ``add(matmul(x, w), b)``; ``w``'s gradient stays a batched product that
+    the engine sums over the leading axes, in the order ``matmul`` uses.
+    """
+    x, w = as_tensor(x), as_tensor(w)
+    if x.ndim < 2 or w.ndim != 2:
+        raise ShapeError(f"linear requires x of ndim >= 2 and a 2-D weight, got {x.shape} @ {w.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
+    data = np.matmul(x.data, w.data)
+    parents = [x, w]
+    vjps = [
+        lambda g: np.matmul(g, w.data.T),
+        lambda g: np.matmul(np.swapaxes(x.data, -1, -2), g),
+    ]
+    if b is not None:
+        b = as_tensor(b)
+        if b.shape != w.shape[1:]:
+            raise ShapeError(f"linear bias {b.shape} does not match the weight {w.shape}")
+        np.add(data, b.data, out=data)
+        parents.append(b)
+        vjps.append(lambda g: g)
+    return _make(data, parents, vjps, "linear")
+
+
 def power(x, exponent: float) -> Tensor:
     x = as_tensor(x)
     p = float(exponent)
@@ -616,6 +647,31 @@ def im2col3x3(x) -> Tensor:
     return _make(cols, (x,), (vjp,), "im2col3x3")
 
 
+def upsample2(x) -> Tensor:
+    """Nearest-neighbour 2x upsampling of a (B, C, H, W) tensor.
+
+    The forward pass is one broadcast copy into a channel-last (B, H, 2, W,
+    2, C) buffer, returned as its (B, C, 2H, 2W) view, so an ``im2col3x3``
+    of the result copies contiguous rows.  The backward pass sums each 2x2
+    gradient block as ``(g00 + g01) + (g10 + g11)`` (row, column) and
+    returns the channel-last (B, C, H, W) view of the sum.
+    """
+    x = as_tensor(x)
+    if x.ndim != 4:
+        raise ShapeError(f"upsample2 requires (batch, channels, H, W), got {x.shape}")
+    b, c, h, w = x.shape
+    tiled = np.empty((b, h, 2, w, 2, c))
+    tiled[...] = x.data.transpose(0, 2, 3, 1)[:, :, None, :, None, :]
+
+    def vjp(g):
+        g = g.transpose(0, 2, 3, 1).reshape(b, h, 2, w, 2, c)
+        top = g[:, :, 0, :, 0] + g[:, :, 0, :, 1]
+        np.add(top, g[:, :, 1, :, 0] + g[:, :, 1, :, 1], out=top)
+        return top.transpose(0, 3, 1, 2)
+
+    return _make(tiled.reshape(b, 2 * h, 2 * w, c).transpose(0, 3, 1, 2), (x,), (vjp,), "upsample2")
+
+
 # -- primitive dispatch and gradient checking ------------------------------
 
 PRIMITIVES: dict[str, Callable[..., Tensor]] = {
@@ -644,6 +700,8 @@ PRIMITIVES: dict[str, Callable[..., Tensor]] = {
     "pad-last2": pad_last2,
     "crop-last2": crop_last2,
     "im2col3x3": im2col3x3,
+    "linear": linear,
+    "upsample2": upsample2,
 }
 
 

@@ -138,7 +138,7 @@ def timestep_embedding(t, dim: int, max_period: float = 10000.0) -> np.ndarray:
 
 
 class Conv3x3:
-    """3x3 same-padding convolution: one im2col unfold plus one matmul.
+    """3x3 same-padding convolution: im2col plus one ``linear`` op.
 
     ``ad.im2col3x3`` turns (B, c_in, H, W) into the (B*H*W, 9*c_in) patch
     matrix with columns ordered (dy, dx, c); ``w`` is (9*c_in, c_out) in the
@@ -154,7 +154,7 @@ class Conv3x3:
         if x.ndim != 4 or x.shape[1] != self.c_in:
             raise ShapeError(f"conv expects (batch, {self.c_in}, H, W), got {x.shape}")
         b, _, h, w = x.shape
-        y = ad.add(ad.matmul(ad.im2col3x3(x), self.w), self.b)
+        y = ad.linear(ad.im2col3x3(x), self.w, self.b)
         return y.reshape(b, h, w, self.c_out).transpose(0, 3, 1, 2)
 
     def params(self) -> dict[str, Tensor]:
@@ -166,12 +166,6 @@ def avg_pool2(x: Tensor) -> Tensor:
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2 needs even spatial dims, got {x.shape}")
     return ad.mean(x.reshape(b, c, h // 2, 2, w // 2, 2), axis=(3, 5))
-
-
-def upsample2(x: Tensor) -> Tensor:
-    b, c, h, w = x.shape
-    tiled = ad.mul(x.reshape(b, c, h, 1, w, 1), Tensor(np.ones((1, 1, 1, 2, 1, 2))))
-    return tiled.reshape(b, c, 2 * h, 2 * w)
 
 
 class CrossAttention:
@@ -298,7 +292,7 @@ class Denoiser:
         d = ad.relu(ad.add(self.down(d), self.time_proj2(tf).reshape(b, w2, 1, 1)))
         d = ad.relu(self.mid(d))
         d = self.xattn2(d, cond)
-        u = self.up(upsample2(d))
+        u = self.up(ad.upsample2(d))
         h = ad.relu(ad.add(skip, u))
         h = ad.relu(self.dec1(h))
         return self.conv_out(h)

@@ -201,18 +201,22 @@ def class_agreement(generated, labels, anchors) -> float:
         raise EvalError("generated and labels must have equal length")
     if len(generated) == 0:
         raise EvalError("class_agreement needs at least one sample")
+    if len(anchors) == 0:
+        raise EvalError("class_agreement needs at least one anchor")
     flat = generated.reshape(len(generated), -1)
     flat_anchors = anchors.reshape(len(anchors), -1)
     if flat.shape[1] != flat_anchors.shape[1]:
         raise EvalError(
             f"sample size {flat.shape[1]} does not match anchor size {flat_anchors.shape[1]}"
         )
-    # Huge finite samples overflow the norms, and their cosines come out 0
-    # or NaN without a numpy warning; `eval-gen` rejects such samples when
-    # the Fréchet distance checks their covariance.
+    # Non-finite rows, or norms so large that their product overflows, give
+    # cosines of 0 or NaN and so an arbitrary nearest anchor: reject them.
     with np.errstate(over="ignore", invalid="ignore"):
-        nearest = np.argmax(_cos_matrix(flat, flat_anchors), axis=1)
-    return float(np.mean(nearest == labels))
+        scale = np.linalg.norm(flat, axis=1).max() * np.linalg.norm(flat_anchors, axis=1).max()
+        cos = _cos_matrix(flat, flat_anchors)
+    if not (np.isfinite(scale) and np.isfinite(cos).all()):
+        raise EvalError("class_agreement needs finite samples and anchors whose norms do not overflow")
+    return float(np.mean(np.argmax(cos, axis=1) == labels))
 
 
 def export_embeddings(embeddings, labels, path) -> Path:

@@ -34,10 +34,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out), requires_grad=True) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = ad.matmul(x, self.w)
-        if self.b is not None:
-            y = ad.add(y, self.b)
-        return y
+        return ad.linear(x, self.w, self.b)
 
     def params(self) -> dict[str, Tensor]:
         out = {"w": self.w}

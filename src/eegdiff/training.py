@@ -558,11 +558,22 @@ def primitive_cases(rng: np.random.Generator) -> dict:
     # drawn after the cases above so their points stay the same
     w_cols = Tensor(rng.normal(size=(12, 18)))
     cases["im2col3x3"] = (lambda x: ad.sum_(ad.mul(ad.im2col3x3(x), w_cols)), rng.normal(size=(2, 2, 2, 3)))
+    # the leaf is the (2, 4, 4) token input, the weight (its batch mean) and
+    # the bias (its token mean), so every VJP of linear is audited
+    w_lin = Tensor(rng.normal(size=(2, 4, 4)))
+    cases["linear"] = (
+        lambda x: ad.sum_(ad.mul(ad.linear(x, ad.mean(x, axis=0), ad.mean(x, axis=(0, 1))), w_lin)),
+        rng.normal(size=(2, 4, 4)),
+    )
+    w_up = Tensor(rng.normal(size=(2, 2, 4, 6)))
+    cases["upsample2"] = (lambda x: ad.sum_(ad.mul(ad.upsample2(x), w_up)), rng.normal(size=(2, 2, 2, 3)))
     return cases
 
 
 def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, float]]:
     """Max relative gradient error per audited target over ``seeds`` seeds."""
+    if seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {seeds}")
     results: list[tuple[str, float]] = []
 
     def run(name, build):

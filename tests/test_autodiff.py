@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from conftest import tiny_config
 from eegdiff import autodiff as ad
 from eegdiff.autodiff import NonFiniteError, ShapeError, Tensor
-from eegdiff.diffusion import apply_train_mask, selective_finetune_mask, stage2_train_step
+from eegdiff.diffusion import Conv3x3, apply_train_mask, selective_finetune_mask, stage2_train_step
 from eegdiff.encoder import SignalAutoencoder, mean_pool_latent
 from eegdiff.losses import stage1_loss_terms
 from eegdiff.training import Adam, build_stage2_model, primitive_cases
@@ -94,6 +94,7 @@ MULTI_PARENT = {
     "mul": (ad.mul, [(2, 3, 1), (3, 4)]),
     "div": (ad.div, [(3, 1), (2, 3, 4)]),
     "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+    "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
     "minimum": (ad.minimum, [(3, 4), (1, 4)]),
     "cosine_similarity": (ad.cosine_similarity, [(3, 1, 5), (1, 4, 5)]),
     "concat": (lambda *parts: ad.concat(parts, axis=1), [(2, 1, 3), (2, 2, 3), (2, 3, 3)]),
@@ -214,6 +215,81 @@ def test_matmul_shape_errors():
         ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
 
+@pytest.mark.parametrize(
+    "x,w,b",
+    [((3,), (3, 2), None), ((2, 3), (4, 2), None), ((2, 3), (2, 3, 2), None), ((2, 3), (3, 2), (1, 2))],
+)
+def test_linear_shape_errors(x, w, b):
+    bias = None if b is None else Tensor(np.ones(b))
+    with pytest.raises(ShapeError):
+        ad.linear(Tensor(np.ones(x)), Tensor(np.ones(w)), bias)
+
+
+# A Conv3x3 patch matrix (2-D) and a Linear token input (3-D), each with and
+# without a bias.
+LINEAR_SHAPES = [((256, 288), (288, 32)), ((16, 64, 32), (32, 32))]
+
+
+@pytest.mark.parametrize("bias", [True, False])
+@pytest.mark.parametrize("x_shape,w_shape", LINEAR_SHAPES)
+def test_linear_matches_add_of_matmul(x_shape, w_shape, bias, rng):
+    values = [rng.normal(size=x_shape), rng.normal(size=w_shape)]
+    if bias:
+        values.append(rng.normal(size=w_shape[1]))
+    weight = rng.normal(size=x_shape[:-1] + w_shape[1:])
+
+    def composite(x, w, b=None):
+        y = ad.matmul(x, w)
+        return y if b is None else ad.add(y, b)
+
+    runs = []
+    for fn in (ad.linear, composite):
+        inputs = [Tensor(v, requires_grad=True) for v in values]
+        y = fn(*inputs)
+        ad.sum_(ad.mul(y, weight)).backward()
+        runs.append([y.data] + [t.grad for t in inputs])
+    for new, old in zip(*runs):
+        assert np.array_equal(new, old)
+        assert new.strides == old.strides
+
+
+def composite_upsample2(x):
+    """The reshape, broadcast ``mul`` and reshape that upsampled before
+    ``ad.upsample2``."""
+    b, c, h, w = x.shape
+    tiled = ad.mul(x.reshape(b, c, h, 1, w, 1), Tensor(np.ones((1, 1, 1, 2, 1, 2))))
+    return tiled.reshape(b, c, 2 * h, 2 * w)
+
+
+@pytest.mark.parametrize("shape", [(64, 64, 4, 4), (3, 5, 1, 2), (1, 4, 3, 2)])
+def test_upsample2_matches_composite_on_channel_last_input(shape, rng):
+    # as in the denoiser: a Conv3x3 output, channel-last in memory, upsampled
+    # into another Conv3x3
+    b, c, h, w = shape
+    pre, up = Conv3x3(rng, 3, c), Conv3x3(rng, c, 5)
+    pre.b.data = rng.normal(size=c)
+    x_data = rng.normal(size=(b, 3, h, w))
+    weight = rng.normal(size=(b, 5, 2 * h, 2 * w))
+    runs = []
+    for upsample in (ad.upsample2, composite_upsample2):
+        x = Tensor(x_data, requires_grad=True)
+        feature = pre(x)
+        assert feature.data.strides[1] == feature.data.itemsize  # channel-last
+        tiled = upsample(feature)
+        ad.sum_(ad.mul(up(tiled), weight)).backward()
+        runs.append((tiled.data, feature.grad, x.grad, pre.w.grad, up.w.grad, up.b.grad))
+    for new, old in zip(*runs):
+        assert np.array_equal(new, old)
+    # the gradient comes back laid out like the feature map, so it is adopted
+    assert runs[0][1].strides == feature.data.strides
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 2, 3, 4, 5)])
+def test_upsample2_requires_4d(shape):
+    with pytest.raises(ShapeError):
+        ad.upsample2(Tensor(np.ones(shape)))
+
+
 def test_nonfinite_probe_raises():
     x = Tensor(np.array([800.0]), requires_grad=True)
     with pytest.raises(NonFiniteError):
@@ -230,6 +306,7 @@ FINITE_CASES = {
     "pad_last2": lambda x, y: ad.pad_last2(x, 1),
     "crop_last2": lambda x, y: ad.crop_last2(x, 1, 0, 2, 3),
     "im2col3x3": lambda x, y: ad.im2col3x3(x),
+    "upsample2": lambda x, y: ad.upsample2(x),
     "relu": lambda x, y: ad.relu(x),
     "abs": lambda x, y: ad.abs_(x),
     "minimum": lambda x, y: ad.minimum(x, y),

@@ -22,7 +22,6 @@ from eegdiff.diffusion import (
     selective_finetune_mask,
     stage2_train_step,
     timestep_embedding,
-    upsample2,
 )
 from eegdiff.losses import cfg_combine
 from eegdiff.nn import ConfigError
@@ -99,7 +98,7 @@ def test_pool_and_upsample_inverse_on_constant():
     x = Tensor(np.ones((2, 3, 4, 4)))
     down = avg_pool2(x)
     assert down.shape == (2, 3, 2, 2)
-    up = upsample2(down)
+    up = ad.upsample2(down)
     np.testing.assert_array_equal(up.data, np.ones((2, 3, 4, 4)))
     with pytest.raises(ShapeError):
         avg_pool2(Tensor(np.ones((1, 1, 3, 4))))

@@ -178,6 +178,23 @@ def test_class_agreement_perfect_and_mixed(rng):
     assert class_agreement(gen, wrong, anchors) == 0.5
     with pytest.raises(EvalError):
         class_agreement(gen, labels[:2], anchors)
+    with pytest.raises(EvalError):
+        class_agreement(gen, labels, anchors[:0])
+
+
+@pytest.mark.parametrize("where", ["samples", "anchors"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "huge"])
+def test_class_agreement_rejects_non_finite_and_overflowing_norms(where, bad, rng):
+    gen = rng.normal(size=(4, 32))
+    anchors = rng.normal(size=(3, 32))
+    labels = np.zeros(4)
+    target = gen if where == "samples" else anchors
+    if bad == "huge":
+        target *= 1e300
+    else:
+        target[1, 5] = float(bad)
+    with pytest.raises(EvalError):
+        class_agreement(gen, labels, anchors)
 
 
 def test_export_embeddings_round_trips(tmp_path, rng):

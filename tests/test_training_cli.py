@@ -390,3 +390,10 @@ def test_grad_check_cli(tmp_path, capsys):
     lines = (tmp_path / "eval" / "grad_check.csv").read_text().strip().split("\n")
     assert lines[0] == "target,max_rel_error"
     assert len(lines) > 5
+
+
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_grad_check_without_seeds_exits_1(tmp_path, seeds, capsys):
+    assert main(["grad-check", "--out", str(tmp_path), "--seeds", seeds]) == 1
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "eval" / "grad_check.csv").exists()
