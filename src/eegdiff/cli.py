@@ -26,7 +26,7 @@ from .evaluate import (
     topk_retrieval,
 )
 from .nn import ConfigError, ShapeError
-from .signalio import ContainerError, DataError, generate_dataset, load_dataset, read_container, write_container
+from .signalio import ContainerError, DataError, generate_dataset, read_container, write_container
 from .training import (
     DATASET_FIELDS,
     RunConfig,
@@ -35,6 +35,7 @@ from .training import (
     format_float,
     generation_conditions,
     gradient_suite,
+    load_data,
     load_stage1_model,
     load_stage2_model,
     stage2_training_set,
@@ -83,7 +84,7 @@ def cmd_train_stage2(args) -> int:
 def _generate(cfg: RunConfig, scale: float, steps: int, num: int):
     """Sample guided latents conditioned on held-out windows; returns
     (samples, labels, container path)."""
-    data = load_dataset(cfg.resolved_data_dir)
+    data = load_data(cfg)
     encoder = load_stage1_model(cfg)
     model = load_stage2_model(cfg)
     cond, labels = generation_conditions(cfg, data, encoder, num)
@@ -115,7 +116,7 @@ def cmd_sample(args) -> int:
 
 def cmd_eval_retrieval(args) -> int:
     cfg = _config_from(args)
-    data = load_dataset(cfg.resolved_data_dir)
+    data = load_data(cfg)
     encoder = load_stage1_model(cfg)
     idx = data.test_idx
     _, pooled = encode_windows(encoder, data.windows[idx])
@@ -137,7 +138,7 @@ def cmd_eval_retrieval(args) -> int:
 def _gen_metrics(cfg: RunConfig, samples: np.ndarray, labels: np.ndarray):
     """Class agreement against target anchors and Fréchet distance against
     the real latent-target population."""
-    data = load_dataset(cfg.resolved_data_dir)
+    data = load_data(cfg)
     encoder = load_stage1_model(cfg)
     real = stage2_training_set(cfg, data, encoder)
     agree = class_agreement(samples, labels, real["anchors"])

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, as_tensor
+from .encoder import mean_pool_latent
 from .losses import cfg_combine, v_loss
 from .nn import ConfigError, LayerNorm, Linear, assign_state, glorot_uniform, multi_head_attention, prefixed
 
@@ -69,7 +70,7 @@ def build_schedule(steps: int, beta_min: float = 1e-4, beta_max: float = 0.02) -
 
 
 class ConditionAdapter:
-    """Pooled latent (D,) -> 4 condition tokens (4, D).
+    """Pooled latents (B, D) -> 4 condition tokens each (B, 4, D).
 
     Dense expansion to 4 tokens, per-token layer norm, dense output map.
     Also owns the learned null condition used when conditioning is dropped:
@@ -90,15 +91,11 @@ class ConditionAdapter:
 
     def __call__(self, pooled) -> Tensor:
         pooled = as_tensor(pooled)
-        single = pooled.ndim == 1
-        if single:
-            pooled = pooled.reshape(1, -1)
         if pooled.ndim != 2 or pooled.shape[1] != self.latent_dim:
             raise ShapeError(f"adapter expects (batch, {self.latent_dim}), got {pooled.shape}")
         b = pooled.shape[0]
         h = self.fc_in(pooled).reshape(b, ADAPTER_TOKENS, self.latent_dim)
-        out = self.fc_out(self.norm(h))
-        return out.reshape(ADAPTER_TOKENS, self.latent_dim) if single else out
+        return self.fc_out(self.norm(h))
 
     def params(self) -> dict[str, Tensor]:
         return (
@@ -271,8 +268,7 @@ class Denoiser:
     def branch(self, trunk: tuple[Tensor, Tensor], cond) -> Tensor:
         """Conditioned rest of the network, from ``xattn1`` to ``conv_out``.
 
-        ``cond`` is (batch, tokens, cond_dim), or (tokens, cond_dim) shared
-        by the whole batch.
+        ``cond`` is (batch, tokens, cond_dim).
         """
         h, tf = trunk
         # Unless the caller keeps the trunk (the guided sampler does), let
@@ -280,9 +276,7 @@ class Denoiser:
         del trunk
         b = h.shape[0]
         cond = as_tensor(cond)
-        if cond.ndim == 2:
-            cond = ad.mul(cond.reshape(1, *cond.shape), Tensor(np.ones((b, 1, 1))))
-        if cond.shape[0] != b or cond.shape[-1] != self.config.cond_dim:
+        if cond.ndim != 3 or cond.shape[0] != b or cond.shape[-1] != self.config.cond_dim:
             raise ShapeError(f"condition shape {cond.shape} incompatible with batch {b}")
 
         w2 = self.config.widths[1]
@@ -359,7 +353,6 @@ class Stage2Model:
             raise ConfigError(
                 f"latent_dim {latent_dim} must equal denoiser cond_dim {denoiser_config.cond_dim}"
             )
-        self.latent_tokens = latent_tokens
         self.schedule = schedule
         self.adapter = ConditionAdapter(rng, latent_dim, latent_tokens)
         self.denoiser = Denoiser(denoiser_config, rng)
@@ -372,6 +365,12 @@ class Stage2Model:
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         assign_state(self.params(), state)
+
+    def condition(self, latents) -> Tensor:
+        """The condition of latent tokens (B, T, D): the tokens, then the
+        adapter's tokens of their mean (B, 4, D)."""
+        latents = as_tensor(latents)
+        return build_condition(latents, self.adapter(mean_pool_latent(latents)))
 
     def null_condition(self, batch: int) -> Tensor:
         null = self.adapter.null_cond
@@ -439,24 +438,21 @@ def stage2_train_step(
 ) -> float:
     """One selective-finetuning step; returns the weighted velocity loss.
 
-    ``batch`` carries plain arrays: ``x0`` (B, grid), ``cond`` latent tokens
-    (B, T, D), ``pooled`` (B, D).  Per-sample timesteps, noise, and the
+    ``batch`` carries plain arrays: ``x0`` (B, grid) and ``cond`` latent
+    tokens (B, T, D).  Per-sample timesteps, noise, and the
     condition-dropout mask all come from ``rng``; dropped samples get the
     learned null condition.  The loss is ``losses.v_loss`` on
     ``model.schedule``, the objective the gradient audit checks.
     """
     schedule = model.schedule
     x0 = np.asarray(batch["x0"], dtype=np.float64)
-    cond_lat = np.asarray(batch["cond"], dtype=np.float64)
-    pooled = np.asarray(batch["pooled"], dtype=np.float64)
     b = x0.shape[0]
 
     t = rng.integers(0, schedule.steps, size=b)
     eps = rng.standard_normal(x0.shape)
     drop = rng.random(b) < drop_prob
 
-    adapted = model.adapter(Tensor(pooled))
-    cond = build_condition(Tensor(cond_lat), adapted)
+    cond = model.condition(batch["cond"])
     keep = Tensor((~drop).astype(np.float64).reshape(b, 1, 1))
     dropped = Tensor(drop.astype(np.float64).reshape(b, 1, 1))
     cond_used = ad.add(ad.mul(cond, keep), ad.mul(model.null_condition(b), dropped))
@@ -501,9 +497,7 @@ def sample(
     denoiser = model.denoiser
 
     with ad.no_grad():
-        pooled = cond_latents.mean(axis=1)
-        adapted = model.adapter(Tensor(pooled)).data
-        cond = Tensor(np.concatenate([cond_latents, adapted], axis=1))
+        cond = model.condition(cond_latents)
         null = model.null_condition(b)
         scale = float(scale)
 

@@ -157,9 +157,6 @@ class RunConfig:
             raise ConfigError(
                 f"sample_steps must lie in [1, {self.schedule_steps}], got {self.sample_steps}"
             )
-        grid_size = int(np.prod(self.grid))
-        if grid_size < 2:
-            raise ConfigError("latent grid is too small")
         finite_scale(self.guidance_scale)
         return self
 
@@ -230,16 +227,20 @@ class RunConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
-        if "loss_weights" in raw and not isinstance(raw["loss_weights"], LossWeights):
+        defaults = cls()
+        for key, value in raw.items():
+            default = getattr(defaults, key)
+            expected = _type_mismatch(value, default)
+            if expected:
+                raise ConfigError(f"config {key} must be {expected}, got {value!r}")
+            if isinstance(default, tuple):
+                raw[key] = tuple(value)
+        if "loss_weights" in raw:
             lw = dict(raw["loss_weights"])
             bad = sorted(set(lw) - set(LossWeights.__dataclass_fields__))
             if bad:
                 raise ConfigError(f"unknown loss_weights keys: {bad}")
             raw["loss_weights"] = LossWeights(**lw)
-        if "grid" in raw:
-            raw["grid"] = tuple(raw["grid"])
-        if "widths" in raw:
-            raw["widths"] = tuple(raw["widths"])
         return cls(**raw).validate()
 
     @classmethod
@@ -254,6 +255,25 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_dict(raw)
+
+
+def _type_mismatch(value, default) -> str | None:
+    """What a config value must be, going by its field's default; None if it fits."""
+    if isinstance(default, LossWeights):
+        fits = isinstance(value, dict) and not any(_type_mismatch(v, 0.0) for v in value.values())
+        return None if fits else "an object of finite numbers"
+    if isinstance(default, tuple):
+        fits = isinstance(value, (list, tuple)) and len(value) == len(default)
+        fits = fits and not any(_type_mismatch(v, 0) for v in value)
+        return None if fits else f"a list of {len(default)} ints"
+    if isinstance(default, (int, float)):
+        number = (int, float) if isinstance(default, float) else int
+        if isinstance(value, number) and not isinstance(value, bool) and math.isfinite(value):
+            return None
+        return "a finite number" if isinstance(default, float) else "an int"
+    if isinstance(value, str) or (default is None and value is None):
+        return None
+    return "a string" if isinstance(default, str) else "a string or null"
 
 
 def finite_scale(scale: float) -> float:
@@ -300,25 +320,43 @@ def _checkpoint_config(cfg: RunConfig) -> dict:
     return {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "data_dir")}
 
 
-def _check_dataset_matches(cfg: RunConfig, data: Dataset) -> None:
-    expected = {
-        "channels": cfg.channels,
-        "samples": cfg.samples,
-        "latent_tokens": cfg.latent_tokens,
-        "latent_dim": cfg.latent_dim,
-        "classes": cfg.classes,
-    }
-    for key, want in expected.items():
-        have = data.meta.get(key)
+def load_data(cfg: RunConfig) -> Dataset:
+    """The run's dataset, checked against the config fields that size the models."""
+    data = load_dataset(cfg.resolved_data_dir)
+    for key in ("channels", "samples", "latent_tokens", "latent_dim", "classes"):
+        have, want = data.meta.get(key), getattr(cfg, key)
         if have != want:
             raise ConfigError(f"dataset {key}={have} does not match config {key}={want}")
+    return data
 
 
-def _batches(perm: np.ndarray, batch_size: int, minimum: int = 2):
-    for start in range(0, len(perm), batch_size):
-        chunk = perm[start : start + batch_size]
-        if len(chunk) >= minimum:
-            yield chunk
+def _epochs(cfg: RunConfig, stage: int, epochs: int, order, minimum: int, step):
+    """Seeded epochs of ``step(chunk, rng)``; yields (epoch, mean of each loss term).
+
+    Epoch ``e`` shuffles ``order`` (indices, or a count) with the stream
+    ``[seed, 10 * stage + 2, e]``, which ``step`` draws from too, and skips
+    batches under ``minimum`` indices.  A ``NonFiniteError`` in ``step``
+    becomes a ``RuntimeError`` naming the stage, epoch and step.
+    """
+    for epoch in range(epochs):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 10 * stage + 2, epoch]))
+        perm = rng.permutation(order)
+        sums: dict[str, float] = {}
+        steps = 0
+        for start in range(0, len(perm), cfg.batch_size):
+            chunk = perm[start : start + cfg.batch_size]
+            if len(chunk) < minimum:
+                continue
+            try:
+                terms = step(chunk, rng)
+            except NonFiniteError as exc:
+                raise RuntimeError(
+                    f"stage {stage} diverged at epoch {epoch}, step {steps}: {exc}"
+                ) from exc
+            for name, value in terms.items():
+                sums[name] = sums.get(name, 0.0) + value
+            steps += 1
+        yield epoch, {name: total / steps for name, total in sums.items()}
 
 
 def train_stage1(cfg: RunConfig) -> dict:
@@ -329,8 +367,7 @@ def train_stage1(cfg: RunConfig) -> dict:
     image embeddings.
     """
     cfg.validate()
-    data = load_dataset(cfg.resolved_data_dir)
-    _check_dataset_matches(cfg, data)
+    data = load_data(cfg)
 
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     model = SignalAutoencoder(cfg.encoder_config(), init_rng)
@@ -340,42 +377,26 @@ def train_stage1(cfg: RunConfig) -> dict:
 
     text_by_window = data.anchor_text[data.labels]  # (N, T, D)
     weights = cfg.loss_weights
-    rows = []
-    for epoch in range(cfg.epochs_stage1):
-        epoch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 12, epoch]))
-        perm = epoch_rng.permutation(data.train_idx)
-        sums = {"recon": 0.0, "align": 0.0, "contrast": 0.0, "total": 0.0}
-        steps = 0
-        for chunk in _batches(perm, cfg.batch_size):
-            x = Tensor(data.windows[chunk])
-            try:
-                z = model.encode_batch(x, training=True)
-                recon = model.decode_batch(z)
-                pooled = mean_pool_latent(z)
-                total, terms = stage1_loss_terms(
-                    x, recon, z, Tensor(text_by_window[chunk]),
-                    pooled, Tensor(data.window_image_emb[chunk]), weights,
-                )
-                optimizer.zero_grad()
-                total.backward()
-                optimizer.step()
-            except NonFiniteError as exc:
-                raise RuntimeError(
-                    f"stage 1 diverged at epoch {epoch}, step {steps}: {exc}"
-                ) from exc
-            for name, term in terms.items():
-                sums[name] += float(term.data)
-            sums["total"] += float(total.data)
-            steps += 1
 
-        val = evaluate_stage1(model, data, weights)
-        for name in ("recon", "align", "contrast", "total"):
-            rows.append([epoch, name, sums[name] / steps])
-        for name in ("mse", "dice", "top1", "top5"):
-            rows.append([epoch, f"val_{name}", val[name]])
+    # The step's tensors are locals, so its graph is freed when it returns.
+    def step(chunk, rng):
+        x = Tensor(data.windows[chunk])
+        z = model.encode_batch(x, training=True)
+        total, terms = stage1_loss_terms(
+            x, model.decode_batch(z), z, Tensor(text_by_window[chunk]),
+            mean_pool_latent(z), Tensor(data.window_image_emb[chunk]), weights,
+        )
+        optimizer.zero_grad()
+        total.backward()
+        optimizer.step()
+        return {name: float(term.data) for name, term in terms.items()} | {"total": float(total.data)}
+
+    rows = []
+    for epoch, means in _epochs(cfg, 1, cfg.epochs_stage1, data.train_idx, 2, step):
+        rows += [[epoch, name, mean] for name, mean in means.items()]
+        rows += [[epoch, f"val_{name}", value] for name, value in evaluate_stage1(model, data, weights).items()]
 
     metrics = write_csv(cfg.stage1_metrics, ["epoch", "metric", "value"], rows)
-    cfg.stage1_checkpoint.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         cfg.stage1_checkpoint,
         model.state(),
@@ -413,11 +434,11 @@ def load_stage1_model(cfg: RunConfig) -> SignalAutoencoder:
 def stage2_training_set(cfg: RunConfig, data: Dataset, encoder: SignalAutoencoder):
     """Frozen-encoder conditions and per-window target latents for stage 2."""
     labels = data.labels[data.train_idx]
-    latents, pooled = encode_windows(encoder, data.windows[data.train_idx])
+    latents, _ = encode_windows(encoder, data.windows[data.train_idx])
     anchors = class_target_latents(cfg.classes, cfg.grid, cfg.seed)
     jitter_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     x0 = anchors[labels] + cfg.x0_jitter * jitter_rng.standard_normal((len(labels),) + tuple(cfg.grid))
-    return {"x0": x0, "cond": latents, "pooled": pooled, "labels": labels, "anchors": anchors}
+    return {"x0": x0, "cond": latents, "labels": labels, "anchors": anchors}
 
 
 def generation_conditions(cfg: RunConfig, data: Dataset, encoder: SignalAutoencoder, num: int):
@@ -450,8 +471,7 @@ def build_stage2_model(cfg: RunConfig, rng: np.random.Generator) -> Stage2Model:
 def train_stage2(cfg: RunConfig) -> dict:
     """Selective finetuning of the conditional denoiser on frozen latents."""
     cfg.validate()
-    data = load_dataset(cfg.resolved_data_dir)
-    _check_dataset_matches(cfg, data)
+    data = load_data(cfg)
     encoder = load_stage1_model(cfg)
     train_set = stage2_training_set(cfg, data, encoder)
 
@@ -460,32 +480,15 @@ def train_stage2(cfg: RunConfig) -> dict:
     trainable = apply_train_mask(model, mask)
     optimizer = Adam(trainable, cfg.lr_stage2, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
-    n = len(train_set["labels"])
-    rows = []
-    for epoch in range(cfg.epochs_stage2):
-        epoch_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 22, epoch]))
-        perm = epoch_rng.permutation(n)
-        total, steps = 0.0, 0
-        for chunk in _batches(perm, cfg.batch_size, minimum=1):
-            batch = {
-                "x0": train_set["x0"][chunk],
-                "cond": train_set["cond"][chunk],
-                "pooled": train_set["pooled"][chunk],
-            }
-            try:
-                total += stage2_train_step(
-                    batch, model, optimizer, epoch_rng,
-                    drop_prob=cfg.drop_prob, gamma=cfg.gamma,
-                )
-            except NonFiniteError as exc:
-                raise RuntimeError(
-                    f"stage 2 diverged at epoch {epoch}, step {steps}: {exc}"
-                ) from exc
-            steps += 1
-        rows.append([epoch, "v_loss", total / steps])
+    def step(chunk, rng):
+        batch = {"x0": train_set["x0"][chunk], "cond": train_set["cond"][chunk]}
+        loss = stage2_train_step(batch, model, optimizer, rng, drop_prob=cfg.drop_prob, gamma=cfg.gamma)
+        return {"v_loss": loss}
 
+    rows = []
+    for epoch, means in _epochs(cfg, 2, cfg.epochs_stage2, len(train_set["labels"]), 1, step):
+        rows += [[epoch, name, mean] for name, mean in means.items()]
     metrics = write_csv(cfg.stage2_metrics, ["epoch", "metric", "value"], rows)
-    cfg.stage2_checkpoint.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(
         cfg.stage2_checkpoint,
         model.state(),

@@ -209,7 +209,6 @@ def test_criterion_5_selective_finetune_audit():
         batch = {
             "x0": rng.normal(size=(4, 2, 4, 4)),
             "cond": rng.normal(size=(4, 3, 8)),
-            "pooled": rng.normal(size=(4, 8)),
         }
         stage2_train_step(batch, model, opt, rng)
     after = model.params()

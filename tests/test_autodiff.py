@@ -181,7 +181,6 @@ def train_three_steps(stage: int) -> dict:
             batch = {
                 "x0": rng.normal(size=(b,) + cfg.grid),
                 "cond": rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim)),
-                "pooled": rng.normal(size=(b, cfg.latent_dim)),
             }
             stage2_train_step(batch, model, opt, rng, drop_prob=0.5)
     return model.state()

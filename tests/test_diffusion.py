@@ -64,8 +64,6 @@ def test_schedule_validation():
 
 def test_adapter_shapes_and_null(rng):
     adapter = ConditionAdapter(rng, latent_dim=8, latent_tokens=4)
-    single = adapter(Tensor(rng.normal(size=8)))
-    assert single.shape == (ADAPTER_TOKENS, 8)
     batch = adapter(Tensor(rng.normal(size=(3, 8))))
     assert batch.shape == (3, ADAPTER_TOKENS, 8)
     assert adapter.null_cond.shape == (4 + ADAPTER_TOKENS, 8)
@@ -159,9 +157,6 @@ def test_denoiser_output_shape_and_cond_broadcast(rng):
     x = rng.normal(size=(3, 2, 4, 4))
     v = model.denoise(x, np.array([1, 5, 9]))
     assert v.shape == (3, 2, 4, 4)
-    cond2d = Tensor(rng.normal(size=(4 + ADAPTER_TOKENS, 8)))
-    v2 = model.denoiser(Tensor(x), 3, cond2d)
-    assert v2.shape == (3, 2, 4, 4)
 
 
 def test_denoise_is_velocity_of_trunk_and_branch(rng):
@@ -300,7 +295,6 @@ def batch_for(model, rng, b=4):
     return {
         "x0": rng.normal(size=(b,) + TINY.grid),
         "cond": rng.normal(size=(b, 4, 8)),
-        "pooled": rng.normal(size=(b, 8)),
     }
 
 
@@ -354,7 +348,8 @@ def test_train_step_graph_needs_no_cyclic_gc(rng):
 def inline_loss_train_step(batch, model, optimizer, rng, drop_prob, gamma=0.5):
     """Reference stage-2 step with the weighted velocity loss written out inline."""
     schedule = model.schedule
-    x0, cond_lat, pooled = batch["x0"], batch["cond"], batch["pooled"]
+    x0, cond_lat = batch["x0"], batch["cond"]
+    pooled = cond_lat.mean(axis=1)
     b = x0.shape[0]
     t = rng.integers(0, schedule.steps, size=b)
     eps = rng.standard_normal(x0.shape)

@@ -1,5 +1,8 @@
+import gc
 import json
 import warnings
+import weakref
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from eegdiff import cli
+from eegdiff import cli, training
 from eegdiff.autodiff import NonFiniteError, Tensor
 from eegdiff.cli import main
 from eegdiff.losses import LossWeights
@@ -101,6 +104,21 @@ def test_config_validate_errors(tmp_path):
         {"sample_steps": 0},
         {"sample_steps": 999},
         {"heads": 3},
+        {"grid": 5},
+        {"grid": [2, 4]},
+        {"widths": [4, 8.0]},
+        {"epochs_stage1": "3"},
+        {"loss_weights": 5},
+        {"loss_weights": {"mse": "1"}},
+        {"seed": 1.5},
+        {"seed": True},
+        {"batch_size": None},
+        {"lr_stage1": False},
+        {"fs": float("nan")},
+        {"noise_std": float("inf")},
+        {"loss_weights": {"mse": float("nan")}},
+        {"out_dir": 3},
+        {"data_dir": 3},
     ):
         raw = dict(base, **patch)
         with pytest.raises(ConfigError):
@@ -320,6 +338,72 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     path.write_text(json.dumps(raw))
     assert main(["gen-data", "--config", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_mistyped_config_value_exits_1(tmp_path, capsys):
+    argv = write_config(tmp_path / "config.json", tiny_config(str(tmp_path)), grid=5)
+    assert main(["gen-data", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config grid must be a list of 3 ints, got 5\n", err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sample"], ["eval-gen", "--scale", "-5.0"], ["eval-retrieval"]],
+    ids=["sample", "eval-gen", "eval-retrieval"],
+)
+def test_dataset_config_mismatch_exits_1(ws, tmp_path, argv, capsys):
+    write_container(
+        ws.cfg.samples_path(-5.0), {"samples": np.zeros((4, 2, 4, 4)), "labels": np.zeros(4)}, {"kind": "samples"}
+    )
+    config = write_config(tmp_path / "config.json", ws.cfg, classes=2)
+    outputs = sorted(Path(ws.cfg.out_dir).rglob("*"))
+    capsys.readouterr()
+    assert main([*argv, *config]) == 1
+    assert capsys.readouterr().err == "error: dataset classes=4 does not match config classes=2\n"
+    assert sorted(Path(ws.cfg.out_dir).rglob("*")) == outputs
+
+
+@pytest.mark.parametrize("stage, name", [(1, "stage1_loss_terms"), (2, "stage2_train_step")])
+def test_divergence_names_stage_epoch_and_step(ws, monkeypatch, stage, name):
+    real = getattr(training, name)
+    calls = []
+
+    def diverge_on_second_call(*args, **kwargs):
+        calls.append(name)
+        if len(calls) == 2:
+            raise NonFiniteError("operation 'add' produced non-finite values")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, diverge_on_second_call)
+    train = training.train_stage1 if stage == 1 else training.train_stage2
+    match = f"^stage {stage} diverged at epoch 0, step 1: operation 'add' produced non-finite values$"
+    with pytest.raises(RuntimeError, match=match):
+        train(ws.cfg)
+
+
+def test_stage1_step_graph_is_freed_before_the_next_loss(ws, tmp_path, monkeypatch):
+    real = training.stage1_loss_terms
+    # Tensor has no weakref slot; a loss's data array lives exactly as long as the loss
+    last_total = []
+    alive = []  # whether the previous loss was still alive when the next was built
+
+    def recording(*args, **kwargs):
+        alive.append(bool(last_total) and last_total[-1]() is not None)
+        total, terms = real(*args, **kwargs)
+        last_total.append(weakref.ref(total.data))
+        return total, terms
+
+    monkeypatch.setattr(training, "stage1_loss_terms", recording)
+    cfg = replace(ws.cfg, out_dir=str(tmp_path), data_dir=str(ws.cfg.resolved_data_dir), epochs_stage1=1)
+    gc.collect()
+    gc.disable()
+    try:
+        training.train_stage1(cfg)
+    finally:
+        gc.enable()
+    assert len(alive) > 1 and not any(alive), alive
 
 
 def write_config(path, cfg, **changes):
