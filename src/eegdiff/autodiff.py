@@ -38,11 +38,11 @@ Design notes:
 * ``backward()`` resets gradients before accumulating, so calling it twice
   yields identical results.
 
-Primitives (also reachable by name through :data:`PRIMITIVES`): elementwise
-``add``/``sub``/``mul``/``div``/``power``/``exp``/``log``/``abs_``/
-``minimum``/``relu``/``sigmoid``; ``matmul`` and ``linear``, the affine map
-behind ``nn.Linear`` and ``diffusion.Conv3x3``; reductions and normalizers
-``sum_``/``mean``/``softmax``/``standardize``/``cosine_similarity``; and
+Primitives: elementwise ``add``/``sub``/``mul``/``div``/``power``/``exp``/
+``log``/``abs_``/``minimum``/``relu``/``sigmoid``; ``matmul`` and ``linear``,
+the affine map behind ``nn.Linear`` and ``diffusion.Conv3x3``; reductions and
+normalizers ``sum_``/``mean``/``softmax``/``cosine_similarity`` and
+``standardize``, behind ``nn.LayerNorm`` and ``nn.BatchNorm``; and
 structural ``reshape``/``transpose``/``concat``/``pad_last2``/``crop_last2``,
 ``im2col3x3``, the 3x3 patch unfold behind ``diffusion.Conv3x3``, and
 ``upsample2``, the nearest-neighbour 2x upsampling of the denoiser.
@@ -131,14 +131,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{grad})"
@@ -207,41 +199,6 @@ class Tensor:
                 leaves[node] = node.grad
         return leaves
 
-    # -- operator sugar ----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -251,12 +208,6 @@ class Tensor:
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         return transpose(self, axes or None)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
 
 
 def as_tensor(x) -> Tensor:
@@ -508,16 +459,6 @@ def standardize(x, axis, eps: float) -> Tensor:
     return _make(y, (x,), (vjp,), "standardize")
 
 
-def layer_norm(x, eps: float = 1e-12) -> Tensor:
-    """Standardize each row over the last axis (no affine part)."""
-    return standardize(x, axis=-1, eps=eps)
-
-
-def batch_norm_train(x, eps: float = 1e-5) -> Tensor:
-    """Standardize each feature over axis 0 using batch statistics."""
-    return standardize(x, axis=0, eps=eps)
-
-
 def cosine_similarity(a, b, eps: float = 1e-12) -> Tensor:
     """Cosine similarity over the last axis with epsilon-guarded norms.
 
@@ -672,46 +613,7 @@ def upsample2(x) -> Tensor:
     return _make(tiled.reshape(b, 2 * h, 2 * w, c).transpose(0, 3, 1, 2), (x,), (vjp,), "upsample2")
 
 
-# -- primitive dispatch and gradient checking ------------------------------
-
-PRIMITIVES: dict[str, Callable[..., Tensor]] = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "scalar-mul": lambda x, c: mul(x, float(c)),
-    "abs": abs_,
-    "elementwise-min": minimum,
-    "sigmoid": sigmoid,
-    "relu": relu,
-    "softmax": softmax,
-    "layer-normalize": layer_norm,
-    "batch-normalize": batch_norm_train,
-    "mean": mean,
-    "sum": sum_,
-    "concat": concat,
-    "reshape": reshape,
-    "transpose": transpose,
-    "exp": exp,
-    "log": log,
-    "power": power,
-    "cosine-similarity": cosine_similarity,
-    "pad-last2": pad_last2,
-    "crop-last2": crop_last2,
-    "im2col3x3": im2col3x3,
-    "linear": linear,
-    "upsample2": upsample2,
-}
-
-
-def primitive(kind: str, *args, **kwargs) -> Tensor:
-    """Dispatch a primitive by name; unknown kinds raise ``ValueError``."""
-    try:
-        fn = PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive kind {kind!r}; valid: {sorted(PRIMITIVES)}") from None
-    return fn(*args, **kwargs)
+# -- gradient checking -----------------------------------------------------
 
 
 def grad_check(fn: Callable[[Tensor], Tensor], point, epsilon: float = 1e-5) -> float:

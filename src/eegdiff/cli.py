@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .autodiff import NonFiniteError
+from .autodiff import NonFiniteError, ShapeError
 from .diffusion import sample as sample_latents
 from .evaluate import (
     EvalError,
@@ -25,7 +25,7 @@ from .evaluate import (
     frechet_distance,
     topk_retrieval,
 )
-from .nn import ConfigError, ShapeError
+from .nn import ConfigError
 from .signalio import ContainerError, DataError, generate_dataset, read_container, write_container
 from .training import (
     DATASET_FIELDS,

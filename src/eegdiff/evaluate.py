@@ -101,28 +101,6 @@ def topk_retrieval(
     return hits / n
 
 
-def cosine_map(embeddings, labels, num_classes: int | None = None) -> np.ndarray:
-    """Class-mean cosine similarity matrix; exactly symmetric, unit diagonal."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    if embeddings.ndim != 2 or len(labels) != len(embeddings):
-        raise EvalError("cosine_map needs (N, D) embeddings and N labels")
-    present = np.unique(labels)
-    if num_classes is not None:
-        missing = sorted(set(range(num_classes)) - set(int(c) for c in present))
-        if missing:
-            raise EvalError(f"classes without embeddings: {missing}")
-        present = np.arange(num_classes)
-    means = np.stack([embeddings[labels == c].mean(axis=0) for c in present])
-    norms = np.linalg.norm(means, axis=1, keepdims=True)
-    unit = means / (norms + EPS)
-    sim = unit @ unit.T
-    sim = (sim + sim.T) / 2.0
-    sim = np.clip(sim, -1.0, 1.0)
-    np.fill_diagonal(sim, 1.0)
-    return sim
-
-
 # -- distribution distance ----------------------------------------------------
 
 

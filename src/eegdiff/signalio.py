@@ -171,28 +171,18 @@ def bandpass_filter(signal, fs: float, low: float, high: float, transition: floa
     return np.fft.irfft(spectrum * gain, n=n, axis=-1)
 
 
-@dataclass
-class EegWindow:
-    """One multi-channel window: values (channels, samples) plus labels."""
-
-    values: np.ndarray
-    label: int = 0
-    subject: int = 0
-
-
 def preprocess(
     raw,
     fs: float,
     target_len: int,
     low: float = 5.0,
     high: float = 95.0,
-    label: int = 0,
-    subject: int = 0,
-) -> EegWindow:
+) -> np.ndarray:
     """Bandpass, drop the filter warm-up, and truncate to ``target_len``.
 
-    The warm-up discard is ``round(0.020 * fs)`` samples; the raw window
-    must be at least ``discard + target_len`` long.
+    Returns the filtered (channels, target_len) array.  The warm-up discard
+    is ``round(0.020 * fs)`` samples; the raw window must be at least
+    ``discard + target_len`` long.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim != 2:
@@ -204,8 +194,7 @@ def preprocess(
             f"discard {discard} + target {target_len}"
         )
     filtered = bandpass_filter(raw, fs, low, high)
-    values = filtered[..., discard : discard + target_len]
-    return EegWindow(values=np.ascontiguousarray(values), label=label, subject=subject)
+    return np.ascontiguousarray(filtered[..., discard : discard + target_len])
 
 
 # -- synthetic dataset --------------------------------------------------------
@@ -351,8 +340,7 @@ def generate_dataset(
             )
             clean = scales[k] * gains[m][:, None] * (amps[k][:, :, None] * np.sin(args)).sum(axis=1)
             raw = clean + noise_std * target_rms * window_rng.normal(size=(channels, raw_len))
-            win = preprocess(raw, fs, samples, low=low, high=high, label=k, subject=m)
-            windows[n] = win.values
+            windows[n] = preprocess(raw, fs, samples, low=low, high=high)
             labels[n] = k
             subj[n] = m
             window_image_emb[n] = anchor_image[k] + 0.1 * window_rng.normal(size=latent_dim)
@@ -415,10 +403,11 @@ def generate_dataset(
     return manifest
 
 
-def load_dataset(path) -> Dataset:
-    """Load a dataset directory (or container file) written by the generator."""
-    path = Path(path)
-    container = path / "dataset.bin" if path.is_dir() else path
+def load_dataset(data_dir) -> Dataset:
+    """Load the dataset directory written by :func:`generate_dataset`."""
+    container = Path(data_dir) / "dataset.bin"
+    if not container.exists():
+        raise DataError(f"no dataset at {container}; run `gen-data` first")
     arrays, meta = read_container(container)
     if meta.get("kind") != "dataset":
         raise ContainerError(f"{container} is not a dataset (kind={meta.get('kind')!r})")

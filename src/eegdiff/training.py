@@ -544,8 +544,8 @@ def primitive_cases(rng: np.random.Generator) -> dict:
         "sigmoid": (lambda x: ad.sum_(ad.mul(ad.sigmoid(x), w)), rng.normal(size=(3, 4))),
         "relu": (lambda x: ad.sum_(ad.mul(ad.relu(x), w)), _offset_from_zero(rng.normal(size=(3, 4)))),
         "softmax": (lambda x: ad.sum_(ad.mul(ad.softmax(x, axis=-1), w)), rng.normal(size=(3, 4))),
-        "layer-normalize": (lambda x: ad.sum_(ad.mul(ad.layer_norm(x), w)), rng.normal(size=(3, 4))),
-        "batch-normalize": (lambda x: ad.sum_(ad.mul(ad.batch_norm_train(x), w)), rng.normal(size=(3, 4))),
+        "layer-normalize": (lambda x: ad.sum_(ad.mul(ad.standardize(x, -1, 1e-12), w)), rng.normal(size=(3, 4))),
+        "batch-normalize": (lambda x: ad.sum_(ad.mul(ad.standardize(x, 0, 1e-5), w)), rng.normal(size=(3, 4))),
         "mean": (lambda x: ad.sum_(ad.mul(ad.mean(x, axis=1, keepdims=True), w31)), rng.normal(size=(3, 4))),
         "sum": (lambda x: ad.sum_(ad.mul(ad.sum_(x, axis=0, keepdims=True), w14)), rng.normal(size=(3, 4))),
         "concat": (lambda x: ad.sum_(ad.mul(ad.concat([x, ad.mul(x, 2.0)], axis=0), w64)), rng.normal(size=(3, 4))),

@@ -354,11 +354,11 @@ def test_criterion_11_preprocessing_pipeline():
         return 2.0 * abs(x[0] @ phase) / x.shape[-1]
 
     low_in = np.sin(2 * np.pi * 2.0 * t)[None, :]
-    low_out = preprocess(low_in, fs, 440).values
+    low_out = preprocess(low_in, fs, 440)
     atten_db = 20.0 * np.log10(max(tone_amp(low_out, 2.0), 1e-300) / tone_amp(low_in, 2.0))
 
     mid_in = np.sin(2 * np.pi * 50.0 * t)[None, :]
-    mid_out = preprocess(mid_in, fs, 440).values
+    mid_out = preprocess(mid_in, fs, 440)
     # 50 Hz lands exactly on FFT bin 22 of the 440-sample output
     bin_amp = 2.0 * abs(np.fft.rfft(mid_out[0])[22]) / 440
     ripple_db = abs(20.0 * np.log10(bin_amp / tone_amp(mid_in[:, 20:460], 50.0)))

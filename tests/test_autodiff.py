@@ -1,4 +1,6 @@
+import ast
 import gc
+import inspect
 import itertools
 
 import numpy as np
@@ -21,9 +23,6 @@ def test_tensor_basics(rng):
     assert t.shape == (2, 3)
     assert t.ndim == 2
     assert t.size == 6
-    assert not t.detach().requires_grad
-    with pytest.raises(ShapeError):
-        t.item()
     assert "Tensor" in repr(t)
 
 
@@ -34,8 +33,8 @@ def test_tensor_casts_to_float64():
 
 def test_scalar_broadcast_arithmetic():
     x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    y = (2.0 * x + 1.0 - x / 2.0) ** 2.0
-    loss = y.sum()
+    y = ad.power(ad.sub(ad.add(ad.mul(2.0, x), 1.0), ad.div(x, 2.0)), 2.0)
+    loss = ad.sum_(y)
     grads = loss.backward()
     v = np.array([1.0, 2.0])
     expected = 2.0 * (1.5 * v + 1.0) * 1.5
@@ -386,7 +385,7 @@ def test_softmax_matches_max_reduction_formula(data, x):
 
 
 def test_layer_norm_standardizes_rows(rng):
-    y = ad.layer_norm(Tensor(rng.normal(size=(5, 8)))).data
+    y = ad.standardize(Tensor(rng.normal(size=(5, 8))), -1, 1e-12).data
     np.testing.assert_allclose(y.mean(axis=-1), 0.0, atol=1e-10)
     np.testing.assert_allclose(y.var(axis=-1), 1.0, atol=1e-8)
 
@@ -400,7 +399,7 @@ def test_standardize_rejects_overflowing_variance(axis):
 
 def test_batch_norm_standardizes_columns(rng):
     x = rng.normal(size=(16, 4))
-    y = ad.batch_norm_train(Tensor(x)).data
+    y = ad.standardize(Tensor(x), 0, 1e-5).data
     np.testing.assert_allclose(y.mean(axis=0), 0.0, atol=1e-10)
     # the 1e-5 epsilon in the denominator shrinks the variance slightly
     v = x.var(axis=0)
@@ -442,13 +441,29 @@ def test_im2col3x3_requires_4d(shape):
         ad.im2col3x3(Tensor(np.ones(shape)))
 
 
-def test_primitive_registry_dispatch(rng):
-    a, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 2))
-    out = ad.primitive("add", Tensor(a), Tensor(b))
-    np.testing.assert_array_equal(out.data, a + b)
-    with pytest.raises(ValueError):
-        ad.primitive("no-such-op", Tensor(a))
-    assert len(ad.PRIMITIVES) >= 20
+def test_gradient_audit_covers_every_op(monkeypatch):
+    """Every op that ``autodiff`` records lies on the gradient path of some
+    audit case, so an op added without a case in ``primitive_cases`` fails."""
+    tree = ast.parse(inspect.getsource(ad))
+    defined = {
+        call.args[-1].value
+        for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_make"
+        and isinstance(call.args[-1], ast.Constant)
+    }
+    recorded = set()
+    make = ad._make
+
+    def recording_make(data, parents, vjps, op):
+        if any(p.requires_grad for p in parents):
+            recorded.add(op)
+        return make(data, parents, vjps, op)
+
+    monkeypatch.setattr(ad, "_make", recording_make)
+    for fn, point in primitive_cases(np.random.default_rng(0)).values():
+        fn(Tensor(point, requires_grad=True))
+    assert len(defined) >= 20
+    assert recorded == defined
 
 
 def test_grad_check_epsilon_validation(rng):
@@ -464,7 +479,7 @@ def test_grad_check_epsilon_validation(rng):
     [
         lambda x: ad.sum_(ad.sigmoid(x)),
         lambda x: ad.add(ad.sum_(ad.softmax(x)), ad.mean(ad.exp(ad.mul(x, 0.1)))),
-        lambda x: ad.mean(ad.mul(ad.layer_norm(x), ad.sigmoid(x))),
+        lambda x: ad.mean(ad.mul(ad.standardize(x, -1, 1e-12), ad.sigmoid(x))),
         lambda x: ad.mean(ad.cosine_similarity(x, ad.relu(ad.add(x, 0.7)))),
     ],
 )

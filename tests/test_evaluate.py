@@ -8,7 +8,6 @@ from eegdiff.evaluate import (
     GaussianStats,
     RetrievalIndex,
     class_agreement,
-    cosine_map,
     export_embeddings,
     fit_gaussian,
     frechet_distance,
@@ -84,25 +83,6 @@ def test_topk_monotone_in_k(seed):
     accs = [topk_retrieval(queries, index, k, mode="label") for k in (1, 3, 6, 12)]
     assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
     assert accs[-1] == 1.0
-
-
-# -- cosine map ------------------------------------------------------------------
-
-
-def test_cosine_map_symmetric_unit_diagonal(rng):
-    emb = rng.normal(size=(30, 6))
-    labels = rng.integers(0, 4, size=30)
-    labels[:4] = np.arange(4)
-    sim = cosine_map(emb, labels, num_classes=4)
-    assert sim.shape == (4, 4)
-    np.testing.assert_array_equal(sim, sim.T)
-    np.testing.assert_array_equal(np.diag(sim), np.ones(4))
-    assert (np.abs(sim) <= 1.0).all()
-
-
-def test_cosine_map_missing_class_raises(rng):
-    with pytest.raises(EvalError):
-        cosine_map(rng.normal(size=(5, 3)), np.zeros(5, dtype=int), num_classes=2)
 
 
 # -- frechet ---------------------------------------------------------------------

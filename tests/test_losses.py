@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eegdiff import autodiff as ad
-from eegdiff.autodiff import Tensor
+from eegdiff.autodiff import ShapeError, Tensor
 from eegdiff.diffusion import DenoiserConfig, NoiseSchedule, Stage2Model, build_schedule
 from eegdiff.losses import (
     LossWeights,
@@ -19,7 +19,7 @@ from eegdiff.losses import (
     v_loss,
     v_target,
 )
-from eegdiff.nn import ConfigError, ShapeError
+from eegdiff.nn import ConfigError
 
 finite = st.floats(-8.0, 8.0, allow_nan=False)
 
@@ -83,7 +83,7 @@ def test_contrastive_prefers_matched_pairs(rng):
 
 def test_contrastive_single_pair_is_zero():
     x = Tensor(np.ones((1, 3)))
-    assert contrastive_loss(x, x, 0.07).item() == pytest.approx(0.0, abs=1e-12)
+    assert float(contrastive_loss(x, x, 0.07).data) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_contrastive_validation():

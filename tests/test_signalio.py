@@ -183,11 +183,10 @@ def test_bandpass_is_linear(seed):
 
 def test_preprocess_discard_and_truncate(rng):
     raw = rng.normal(size=(3, 500))
-    win = preprocess(raw, fs=1000.0, target_len=440, label=2, subject=1)
-    assert win.values.shape == (3, 440)
-    assert win.label == 2 and win.subject == 1
+    out = preprocess(raw, fs=1000.0, target_len=440)
+    assert isinstance(out, np.ndarray) and out.shape == (3, 440)
     full = bandpass_filter(raw, 1000.0, 5.0, 95.0)
-    np.testing.assert_array_equal(win.values, full[:, 20:460])
+    np.testing.assert_array_equal(out, full[:, 20:460])
 
 
 def test_preprocess_too_short_raises(rng):
@@ -267,9 +266,10 @@ def test_generate_dataset_validation(tmp_path):
 
 
 def test_load_dataset_missing_and_wrong_kind(tmp_path, rng):
-    with pytest.raises((DataError, ContainerError, OSError)):
+    with pytest.raises(DataError, match="run `gen-data` first"):
         load_dataset(tmp_path / "nope")
-    bad = tmp_path / "bad.bin"
-    write_container(bad, {"x": rng.normal(size=3)}, {"kind": "checkpoint"})
-    with pytest.raises(ContainerError):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    write_container(bad / "dataset.bin", {"x": rng.normal(size=3)}, {"kind": "checkpoint"})
+    with pytest.raises(ContainerError, match="not a dataset"):
         load_dataset(bad)

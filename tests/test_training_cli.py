@@ -348,6 +348,14 @@ def test_mistyped_config_value_exits_1(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+def test_train_without_dataset_exits_1(tmp_path, capsys):
+    argv = write_config(tmp_path / "config.json", tiny_config(str(tmp_path)))
+    assert main(["train-stage1", *argv]) == 1
+    container = tmp_path / "data" / "dataset.bin"
+    assert capsys.readouterr().err == f"error: no dataset at {container}; run `gen-data` first\n"
+    assert not (tmp_path / "stage1").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["sample"], ["eval-gen", "--scale", "-5.0"], ["eval-retrieval"]],
