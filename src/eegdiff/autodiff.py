@@ -43,9 +43,11 @@ Primitives: elementwise ``add``/``sub``/``mul``/``div``/``power``/``exp``/
 the affine map behind ``nn.Linear`` and ``diffusion.Conv3x3``; reductions and
 normalizers ``sum_``/``mean``/``softmax``/``cosine_similarity`` and
 ``standardize``, behind ``nn.LayerNorm`` and ``nn.BatchNorm``; and
-structural ``reshape``/``transpose``/``concat``/``pad_last2``/``crop_last2``,
-``im2col3x3``, the 3x3 patch unfold behind ``diffusion.Conv3x3``, and
-``upsample2``, the nearest-neighbour 2x upsampling of the denoiser.
+structural ``reshape``/``transpose``/``concat``, ``im2col3x3``, the 3x3 patch
+unfold behind ``diffusion.Conv3x3``, and ``upsample2``, the nearest-neighbour
+2x upsampling of the denoiser.  ``pad_last2``/``crop_last2`` no longer serve
+any model: they remain only because the benchmark tracer wraps them by name
+and the reference ``Conv3x3`` of the tests is built from them.
 """
 
 from __future__ import annotations
@@ -127,10 +129,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         grad = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, op={self._op!r}{grad})"
@@ -158,12 +156,12 @@ class Tensor:
         else:
             self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
 
-    def backward(self) -> dict["Tensor", np.ndarray]:
-        """Backpropagate from a scalar root.
+    def backward(self) -> None:
+        """Backpropagate from a scalar root into the ``.grad`` of every
+        ``requires_grad`` tensor the graph reaches.
 
-        Returns a map from each reachable ``requires_grad`` leaf to its
-        gradient array (also stored on ``.grad``).  Gradients are reset
-        before accumulation, so repeated calls give identical results.
+        Gradients are reset before accumulation, so repeated calls give
+        identical results.  A tensor outside the graph keeps its ``.grad``.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar root, got shape {self.shape}")
@@ -191,23 +189,11 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-        leaves: dict[Tensor, np.ndarray] = {}
-        for node in order:
-            if node.requires_grad and node._backward is None:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                leaves[node] = node.grad
-        return leaves
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         return reshape(self, shape)
 
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes or None)
+    def transpose(self, *axes: int) -> "Tensor":
+        return transpose(self, axes)
 
 
 def as_tensor(x) -> Tensor:
@@ -490,11 +476,10 @@ def reshape(x, shape: tuple[int, ...]) -> Tensor:
     return _make(x.data.reshape(shape), (x,), (lambda g: g.reshape(x.data.shape),), "reshape")
 
 
-def transpose(x, axes=None) -> Tensor:
+def transpose(x, axes: tuple[int, ...]) -> Tensor:
     x = as_tensor(x)
-    if axes is not None:
-        axes = tuple(a % x.ndim for a in axes)
-    inverse = None if axes is None else tuple(np.argsort(axes))
+    axes = tuple(a % x.ndim for a in axes)
+    inverse = tuple(np.argsort(axes))
     return _make(np.transpose(x.data, axes), (x,), (lambda g: np.transpose(g, inverse),), "transpose")
 
 

@@ -26,7 +26,7 @@ from .evaluate import (
     topk_retrieval,
 )
 from .nn import ConfigError
-from .signalio import ContainerError, DataError, generate_dataset, read_container, write_container
+from .signalio import ContainerError, DataError, generate_dataset, integers_below, read_container, write_container
 from .training import (
     DATASET_FIELDS,
     RunConfig,
@@ -122,10 +122,10 @@ def cmd_eval_retrieval(args) -> int:
     _, pooled = encode_windows(encoder, data.windows[idx])
     gallery = RetrievalIndex(data.window_image_emb[idx], labels=data.labels[idx])
     rows = [
-        ["label_top1", topk_retrieval(pooled, gallery, 1, mode="label", scope="global")],
-        ["label_top5", topk_retrieval(pooled, gallery, 5, mode="label", scope="global")],
-        ["image_top1", topk_retrieval(pooled, gallery, 1, mode="image", scope="global")],
-        ["image_top5", topk_retrieval(pooled, gallery, 5, mode="image", scope="global")],
+        ["label_top1", topk_retrieval(pooled, gallery, 1, mode="label")],
+        ["label_top5", topk_retrieval(pooled, gallery, 5, mode="label")],
+        ["image_top1", topk_retrieval(pooled, gallery, 1, mode="image")],
+        ["image_top5", topk_retrieval(pooled, gallery, 5, mode="image")],
     ]
     out = write_csv(cfg.eval_dir / "retrieval.csv", ["metric", "value"], rows)
     emb = export_embeddings(pooled, data.labels[idx], cfg.eval_dir / "test_embeddings.csv")
@@ -162,6 +162,8 @@ def _load_samples(cfg: RunConfig, scale: float):
         raise DataError(f"{path} holds {samples.shape} samples but {labels.shape} labels")
     if not np.isfinite(samples).all():
         raise DataError(f"{path} holds non-finite samples")
+    if not integers_below(labels, cfg.classes):
+        raise DataError(f"{path} record 'labels' must hold integers in [0, {cfg.classes})")
     return samples, labels.astype(int)
 
 

@@ -21,6 +21,7 @@ from .losses import cfg_combine, v_loss
 from .nn import ConfigError, LayerNorm, Linear, assign_state, glorot_uniform, multi_head_attention, prefixed
 
 ADAPTER_TOKENS = 4
+TIMESTEP_MAX_PERIOD = 10000.0
 
 
 # -- noise schedule ----------------------------------------------------------
@@ -78,8 +79,6 @@ class ConditionAdapter:
     """
 
     def __init__(self, rng: np.random.Generator, latent_dim: int, latent_tokens: int):
-        if latent_dim < 2 or latent_tokens < 1:
-            raise ConfigError("adapter needs latent_dim >= 2 and latent_tokens >= 1")
         self.latent_dim = latent_dim
         self.fc_in = Linear(rng, latent_dim, ADAPTER_TOKENS * latent_dim)
         self.norm = LayerNorm(latent_dim)
@@ -123,13 +122,13 @@ def build_condition(latent, adapted) -> Tensor:
 # -- denoiser ----------------------------------------------------------------
 
 
-def timestep_embedding(t, dim: int, max_period: float = 10000.0) -> np.ndarray:
+def timestep_embedding(t, dim: int) -> np.ndarray:
     """Sinusoidal features (batch, dim) for integer timesteps."""
     if dim % 2 != 0:
         raise ConfigError("timestep embedding dim must be even")
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     half = dim // 2
-    freqs = np.exp(-np.log(max_period) * np.arange(half) / half)
+    freqs = np.exp(-np.log(TIMESTEP_MAX_PERIOD) * np.arange(half) / half)
     args = t[:, None] * freqs[None, :]
     return np.concatenate([np.cos(args), np.sin(args)], axis=-1)
 
@@ -169,8 +168,6 @@ class CrossAttention:
     """Attend from spatial positions to condition tokens; residual output."""
 
     def __init__(self, rng: np.random.Generator, channels: int, cond_dim: int, width: int, heads: int):
-        if width % heads != 0:
-            raise ConfigError(f"attention width {width} not divisible by heads {heads}")
         self.heads = heads
         self.norm = LayerNorm(channels)
         self.q = Linear(rng, channels, width, bias=False)

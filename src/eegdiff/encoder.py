@@ -76,8 +76,6 @@ class SpatialBlock:
     """Multi-head self-attention across channels with post-norm residual."""
 
     def __init__(self, rng: np.random.Generator, width: int, heads: int):
-        if width % heads != 0:
-            raise ConfigError(f"width {width} not divisible by heads {heads}")
         self.heads = heads
         self.q = Linear(rng, width, width)
         self.k = Linear(rng, width, width)
@@ -138,18 +136,6 @@ class SignalAutoencoder:
         h = self.dec_feat(z)  # (B, T, temporal_dim)
         mixed = self.dec_tokens(h.transpose(0, 2, 1))  # (B, temporal_dim, C)
         return self.dec_head(mixed.transpose(0, 2, 1))  # (B, C, S)
-
-    def encode(self, window) -> np.ndarray:
-        """Latent sequence (T, D) for one window (C, S); eval mode."""
-        values = getattr(window, "values", window)
-        z = self.encode_batch(ad.as_tensor(values).reshape(1, *np.shape(values)))
-        return z.data[0]
-
-    def decode(self, latent) -> np.ndarray:
-        """Window (C, S) for one latent sequence (T, D); eval mode."""
-        latent = np.asarray(latent, dtype=np.float64)
-        x = self.decode_batch(ad.Tensor(latent[None]))
-        return x.data[0]
 
     # -- state -------------------------------------------------------------
 

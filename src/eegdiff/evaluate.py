@@ -30,37 +30,21 @@ class RetrievalIndex:
 
     embeddings: np.ndarray  # (N, D)
     labels: np.ndarray  # (N,)
-    ids: np.ndarray | None = None  # (N,) unique item ids; defaults to arange
 
     def __post_init__(self):
         self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
         self.labels = np.asarray(self.labels)
         if self.embeddings.ndim != 2 or len(self.labels) != len(self.embeddings):
             raise EvalError("index needs (N, D) embeddings and N labels")
-        if self.ids is None:
-            self.ids = np.arange(len(self.labels))
-        else:
-            self.ids = np.asarray(self.ids)
-            if len(self.ids) != len(self.labels) or len(np.unique(self.ids)) != len(self.ids):
-                raise EvalError("item ids must be unique and match the gallery length")
 
 
-def topk_retrieval(
-    queries,
-    index: RetrievalIndex,
-    k: int,
-    mode: str = "label",
-    scope: str = "global",
-    batches=None,
-) -> float:
-    """Fraction of queries whose top-k retrieval is a hit.
+def topk_retrieval(queries, index: RetrievalIndex, k: int, mode: str = "label") -> float:
+    """Fraction of queries whose top-k retrieval over the whole gallery is a hit.
 
     Query i is paired with gallery item i.  ``mode`` is ``image`` (the paired
     item itself must appear in the top k) or ``label`` (any retrieved item
-    with the query's class counts).  ``scope`` is ``global`` (whole gallery)
-    or ``local`` (``batches`` partitions the indices; each query retrieves
-    within its own batch).  Ties in similarity break toward the smaller item
-    id.
+    with the query's class counts).  Ties in similarity break toward the
+    smaller gallery index.
     """
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2 or queries.shape[0] != index.embeddings.shape[0]:
@@ -69,36 +53,17 @@ def topk_retrieval(
         )
     if mode not in ("image", "label"):
         raise EvalError(f"mode must be 'image' or 'label', got {mode!r}")
-    if scope not in ("global", "local"):
-        raise EvalError(f"scope must be 'global' or 'local', got {scope!r}")
-
     n = queries.shape[0]
-    if scope == "global":
-        groups = [np.arange(n)]
-    else:
-        if not batches:
-            raise EvalError("local scope requires batches")
-        groups = [np.asarray(g, dtype=np.int64) for g in batches]
-        flat = np.concatenate(groups) if groups else np.array([], dtype=np.int64)
-        if len(flat) != n or len(np.unique(flat)) != n:
-            raise EvalError("batches must partition the query indices exactly")
+    if not (1 <= k <= n):
+        raise EvalError(f"k={k} outside [1, {n}] for a gallery of {n}")
 
-    hits = 0
-    for group in groups:
-        pool = len(group)
-        if not (1 <= k <= pool):
-            raise EvalError(f"k={k} outside [1, {pool}] for a candidate pool of {pool}")
-        sims = _cos_matrix(queries[group], index.embeddings[group])
-        ids_g = index.ids[group]
-        labels_g = index.labels[group]
-        for row, qi in enumerate(group):
-            # lexsort: last key is primary, so sort by -sim then ascending id
-            top = np.lexsort((ids_g, -sims[row]))[:k]
-            if mode == "image":
-                hits += int(index.ids[qi] in ids_g[top])
-            else:
-                hits += int(index.labels[qi] in labels_g[top])
-    return hits / n
+    # A stable sort of -similarity keeps tied items in ascending index order.
+    top = np.argsort(-_cos_matrix(queries, index.embeddings), axis=1, kind="stable")[:, :k]
+    if mode == "image":
+        hits = top == np.arange(n)[:, None]
+    else:
+        hits = index.labels[top] == index.labels[:, None]
+    return int(hits.any(axis=1).sum()) / n
 
 
 # -- distribution distance ----------------------------------------------------

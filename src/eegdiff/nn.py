@@ -12,6 +12,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
 
+LAYER_NORM_EPS = 1e-12
+BATCH_NORM_EPS = 1e-5
+BATCH_NORM_MOMENTUM = 0.9
+
 
 class ConfigError(ValueError):
     """Invalid model or run configuration."""
@@ -64,13 +68,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 class LayerNorm:
     """Row standardization over the last axis with learned gain and bias."""
 
-    def __init__(self, width: int, eps: float = 1e-12):
-        self.eps = eps
+    def __init__(self, width: int):
         self.gain = Tensor(np.ones(width), requires_grad=True)
         self.bias = Tensor(np.zeros(width), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.mul(ad.standardize(x, -1, self.eps), self.gain), self.bias)
+        return ad.add(ad.mul(ad.standardize(x, -1, LAYER_NORM_EPS), self.gain), self.bias)
 
     def params(self) -> dict[str, Tensor]:
         return {"gain": self.gain, "bias": self.bias}
@@ -80,13 +83,11 @@ class BatchNorm:
     """Feature-wise normalization over axis 0 with running statistics.
 
     Training mode standardizes with batch statistics and updates running
-    mean/variance with momentum 0.9; eval mode applies the affine transform
-    implied by the stored statistics.
+    mean/variance with momentum ``BATCH_NORM_MOMENTUM``; eval mode applies
+    the affine transform implied by the stored statistics.
     """
 
-    def __init__(self, width: int, eps: float = 1e-5, momentum: float = 0.9):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, width: int):
         self.gain = Tensor(np.ones(width), requires_grad=True)
         self.bias = Tensor(np.zeros(width), requires_grad=True)
         self.running_mean = np.zeros(width)
@@ -98,13 +99,13 @@ class BatchNorm:
         if training:
             if x.shape[0] < 2:
                 raise ShapeError("batch norm in training mode needs at least 2 rows")
-            normed = ad.standardize(x, 0, self.eps)
+            normed = ad.standardize(x, 0, BATCH_NORM_EPS)
             m = x.data.mean(axis=0)
             v = x.data.var(axis=0)
-            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * m
-            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * v
+            self.running_mean = BATCH_NORM_MOMENTUM * self.running_mean + (1.0 - BATCH_NORM_MOMENTUM) * m
+            self.running_var = BATCH_NORM_MOMENTUM * self.running_var + (1.0 - BATCH_NORM_MOMENTUM) * v
         else:
-            scale = 1.0 / np.sqrt(self.running_var + self.eps)
+            scale = 1.0 / np.sqrt(self.running_var + BATCH_NORM_EPS)
             normed = ad.mul(ad.sub(x, Tensor(self.running_mean)), Tensor(scale))
         return ad.add(ad.mul(normed, self.gain), self.bias)
 

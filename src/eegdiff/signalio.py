@@ -23,6 +23,16 @@ from .autodiff import Tensor
 MAGIC = b"SYNP"
 FORMAT_VERSION = 1
 DISCARD_SECONDS = 0.020
+# Width in Hz of the raised-cosine edges of `bandpass_filter`.
+TRANSITION_HZ = 2.0
+# Sinusoids in each class signature of `generate_dataset`.
+COMPONENTS = 3
+# `_make_anchors`: the largest |cos| between two image anchors, and the noise
+# scale of the image anchors about an orthonormal basis and of the text
+# tokens about their image anchor.
+ANCHOR_CEILING = 0.3
+IMAGE_JITTER = 0.15
+TEXT_JITTER = 0.3
 
 
 class ContainerError(ValueError):
@@ -143,26 +153,24 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 # -- filtering and preprocessing ---------------------------------------------
 
 
-def bandpass_filter(signal, fs: float, low: float, high: float, transition: float = 2.0) -> np.ndarray:
+def bandpass_filter(signal, fs: float, low: float, high: float) -> np.ndarray:
     """Zero-phase bandpass via an rFFT frequency mask.
 
     The passband gain is 1 between ``low`` and ``high`` with raised-cosine
-    transitions of width ``transition`` centered on each edge; DC is removed
-    exactly.  Operates along the last axis.
+    transitions of width ``TRANSITION_HZ`` centered on each edge; DC is
+    removed exactly.  Operates along the last axis.
     """
     signal = np.asarray(signal, dtype=np.float64)
     if signal.shape[-1] < 2:
         raise DataError("bandpass_filter needs at least 2 samples")
     if not (0.0 < low < high < fs / 2.0):
         raise DataError(f"band edges must satisfy 0 < low < high < fs/2, got ({low}, {high}) at fs={fs}")
-    if transition <= 0.0:
-        raise DataError("transition width must be positive")
 
     n = signal.shape[-1]
     freqs = np.fft.rfftfreq(n, d=1.0 / fs)
 
     def rise(edge: float) -> np.ndarray:
-        x = np.clip((freqs - (edge - transition / 2.0)) / transition, 0.0, 1.0)
+        x = np.clip((freqs - (edge - TRANSITION_HZ / 2.0)) / TRANSITION_HZ, 0.0, 1.0)
         return 0.5 - 0.5 * np.cos(np.pi * x)
 
     gain = rise(low) * (1.0 - rise(high))
@@ -219,27 +227,21 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _make_anchors(
-    rng: np.random.Generator,
-    classes: int,
-    latent_tokens: int,
-    latent_dim: int,
-    ceiling: float = 0.3,
-    image_jitter: float = 0.15,
-    text_jitter: float = 0.3,
+    rng: np.random.Generator, classes: int, latent_tokens: int, latent_dim: int
 ) -> tuple[np.ndarray, np.ndarray]:
     if classes > latent_dim:
         raise DataError(f"cannot place {classes} near-orthogonal anchors in {latent_dim} dims")
     for _ in range(64):
         basis, _ = np.linalg.qr(rng.normal(size=(latent_dim, latent_dim)))
-        image = _unit_rows(basis[:classes] + image_jitter * rng.normal(size=(classes, latent_dim)))
+        image = _unit_rows(basis[:classes] + IMAGE_JITTER * rng.normal(size=(classes, latent_dim)))
         gram = image @ image.T
         off = np.abs(gram - np.diag(np.diag(gram)))
-        if off.max() <= ceiling:
+        if off.max() <= ANCHOR_CEILING:
             break
     else:
-        raise DataError(f"failed to draw anchors with pairwise |cos| <= {ceiling}")
+        raise DataError(f"failed to draw anchors with pairwise |cos| <= {ANCHOR_CEILING}")
     text = _unit_rows(
-        image[:, None, :] + text_jitter * rng.normal(size=(classes, latent_tokens, latent_dim))
+        image[:, None, :] + TEXT_JITTER * rng.normal(size=(classes, latent_tokens, latent_dim))
     )
     return text, image
 
@@ -261,7 +263,6 @@ def generate_dataset(
     test_frac: float = 1.0 / 6.0,
     noise_std: float = 0.25,
     target_rms: float = 1.8,
-    components: int = 3,
 ) -> dict:
     """Generate a paired synthetic dataset and write it under ``out_dir``.
 
@@ -305,9 +306,9 @@ def generate_dataset(
     f_hi = high - 5.0
     if f_lo >= f_hi:
         raise DataError(f"window of {samples} samples at fs={fs} leaves no usable band")
-    freqs = class_rng.uniform(f_lo, f_hi, size=(classes, components))
-    amps = class_rng.uniform(0.5, 1.5, size=(classes, channels, components))
-    phases = class_rng.uniform(0.0, 2.0 * np.pi, size=(classes, channels, components))
+    freqs = class_rng.uniform(f_lo, f_hi, size=(classes, COMPONENTS))
+    amps = class_rng.uniform(0.5, 1.5, size=(classes, channels, COMPONENTS))
+    phases = class_rng.uniform(0.0, 2.0 * np.pi, size=(classes, channels, COMPONENTS))
 
     gains = subject_rng.uniform(0.8, 1.2, size=(subjects, channels))
     shifts = subject_rng.uniform(-np.pi / 8.0, np.pi / 8.0, size=(subjects, channels))
@@ -373,7 +374,7 @@ def generate_dataset(
         "test_frac": test_frac,
         "noise_std": noise_std,
         "target_rms": target_rms,
-        "components": components,
+        "components": COMPONENTS,
     }
     arrays = {
         "windows": windows,
@@ -403,6 +404,11 @@ def generate_dataset(
     return manifest
 
 
+def integers_below(values: np.ndarray, stop: int) -> bool:
+    """Whether ``values`` is a 1-D array of integers in [0, stop): indices or labels."""
+    return values.ndim == 1 and bool(np.all((values >= 0) & (values < stop) & (values == np.floor(values))))
+
+
 def load_dataset(data_dir) -> Dataset:
     """Load the dataset directory written by :func:`generate_dataset`."""
     container = Path(data_dir) / "dataset.bin"
@@ -421,12 +427,12 @@ def load_dataset(data_dir) -> Dataset:
     # Indices select windows and labels select anchor rows: each must be an
     # integer in range, or training fails far from the file that is wrong.
     n = len(arrays["windows"])
-    if arrays["labels"].shape != (n,):
-        raise ContainerError(f"{container} must hold one label per window ({n})")
+    for name in ("labels", "window_image_emb"):
+        if arrays[name].shape[:1] != (n,):
+            raise ContainerError(f"{container} record {name!r} must hold one row per window ({n})")
     bounds = {"labels": len(arrays["anchor_text"]), "train_idx": n, "val_idx": n, "test_idx": n}
     for name, stop in bounds.items():
-        values = arrays[name]
-        if values.ndim != 1 or not np.all((values >= 0) & (values < stop) & (values == np.floor(values))):
+        if not integers_below(arrays[name], stop):
             raise ContainerError(f"{container} record {name!r} must hold integers in [0, {stop})")
     return Dataset(
         windows=arrays["windows"],

@@ -37,7 +37,7 @@ from .losses import (
     text_align_loss,
     v_loss,
 )
-from .nn import ConfigError
+from .nn import BATCH_NORM_EPS, LAYER_NORM_EPS, ConfigError
 from .signalio import Dataset, load_checkpoint, load_dataset, save_checkpoint
 
 
@@ -330,10 +330,10 @@ def load_data(cfg: RunConfig) -> Dataset:
     return data
 
 
-def _epochs(cfg: RunConfig, stage: int, epochs: int, order, minimum: int, step):
+def _epochs(cfg: RunConfig, stage: int, epochs: int, order: np.ndarray, minimum: int, step):
     """Seeded epochs of ``step(chunk, rng)``; yields (epoch, mean of each loss term).
 
-    Epoch ``e`` shuffles ``order`` (indices, or a count) with the stream
+    Epoch ``e`` shuffles the indices ``order`` with the stream
     ``[seed, 10 * stage + 2, e]``, which ``step`` draws from too, and skips
     batches under ``minimum`` indices.  A ``NonFiniteError`` in ``step``
     becomes a ``RuntimeError`` naming the stage, epoch and step.
@@ -417,8 +417,8 @@ def evaluate_stage1(model: SignalAutoencoder, data: Dataset, weights: LossWeight
         1.0 - float(sdsc_loss(Tensor(w), Tensor(r)).data) for w, r in zip(windows, recon)
     ]
     gallery = RetrievalIndex(data.window_image_emb[idx], labels=data.labels[idx])
-    top1 = topk_retrieval(pooled, gallery, 1, mode="label", scope="global")
-    top5 = topk_retrieval(pooled, gallery, 5, mode="label", scope="global")
+    top1 = topk_retrieval(pooled, gallery, 1, mode="label")
+    top5 = topk_retrieval(pooled, gallery, 5, mode="label")
     return {"mse": mse, "dice": float(np.mean(dice_values)), "top1": top1, "top5": top5}
 
 
@@ -486,7 +486,7 @@ def train_stage2(cfg: RunConfig) -> dict:
         return {"v_loss": loss}
 
     rows = []
-    for epoch, means in _epochs(cfg, 2, cfg.epochs_stage2, len(train_set["labels"]), 1, step):
+    for epoch, means in _epochs(cfg, 2, cfg.epochs_stage2, np.arange(len(train_set["labels"])), 1, step):
         rows += [[epoch, name, mean] for name, mean in means.items()]
     metrics = write_csv(cfg.stage2_metrics, ["epoch", "metric", "value"], rows)
     save_checkpoint(
@@ -544,8 +544,8 @@ def primitive_cases(rng: np.random.Generator) -> dict:
         "sigmoid": (lambda x: ad.sum_(ad.mul(ad.sigmoid(x), w)), rng.normal(size=(3, 4))),
         "relu": (lambda x: ad.sum_(ad.mul(ad.relu(x), w)), _offset_from_zero(rng.normal(size=(3, 4)))),
         "softmax": (lambda x: ad.sum_(ad.mul(ad.softmax(x, axis=-1), w)), rng.normal(size=(3, 4))),
-        "layer-normalize": (lambda x: ad.sum_(ad.mul(ad.standardize(x, -1, 1e-12), w)), rng.normal(size=(3, 4))),
-        "batch-normalize": (lambda x: ad.sum_(ad.mul(ad.standardize(x, 0, 1e-5), w)), rng.normal(size=(3, 4))),
+        "layer-normalize": (lambda x: ad.sum_(ad.mul(ad.standardize(x, -1, LAYER_NORM_EPS), w)), rng.normal(size=(3, 4))),
+        "batch-normalize": (lambda x: ad.sum_(ad.mul(ad.standardize(x, 0, BATCH_NORM_EPS), w)), rng.normal(size=(3, 4))),
         "mean": (lambda x: ad.sum_(ad.mul(ad.mean(x, axis=1, keepdims=True), w31)), rng.normal(size=(3, 4))),
         "sum": (lambda x: ad.sum_(ad.mul(ad.sum_(x, axis=0, keepdims=True), w14)), rng.normal(size=(3, 4))),
         "concat": (lambda x: ad.sum_(ad.mul(ad.concat([x, ad.mul(x, 2.0)], axis=0), w64)), rng.normal(size=(3, 4))),
@@ -573,8 +573,9 @@ def primitive_cases(rng: np.random.Generator) -> dict:
     return cases
 
 
-def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, float]]:
-    """Max relative gradient error per audited target over ``seeds`` seeds."""
+def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
+    """Max relative gradient error per audited target over ``seeds`` seeds,
+    each at ``grad_check``'s default step."""
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
     results: list[tuple[str, float]] = []
@@ -585,7 +586,7 @@ def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, fl
         for s in range(seeds):
             rng = np.random.default_rng(np.random.SeedSequence([1000 + s, tag]))
             fn, point = build(rng)
-            worst = max(worst, ad.grad_check(fn, point, epsilon))
+            worst = max(worst, ad.grad_check(fn, point))
         results.append((name, worst))
 
     # primitives: audit each kind, report the worst
@@ -593,7 +594,7 @@ def gradient_suite(seeds: int = 10, epsilon: float = 1e-5) -> list[tuple[str, fl
     for s in range(seeds):
         rng = np.random.default_rng(np.random.SeedSequence([1000 + s, 0]))
         for kind, (fn, point) in primitive_cases(rng).items():
-            err = ad.grad_check(fn, point, epsilon)
+            err = ad.grad_check(fn, point)
             worst_prim = max(worst_prim, err)
     results.append(("primitives", worst_prim))
 

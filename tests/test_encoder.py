@@ -27,9 +27,6 @@ def test_encode_decode_shapes(rng):
     assert z.shape == (3, 4, 8)
     recon = model.decode_batch(z)
     assert recon.shape == (3, 4, 16)
-    single = model.encode(rng.normal(size=(4, 16)))
-    assert single.shape == (4, 8)
-    assert model.decode(single).shape == (4, 16)
 
 
 def test_encode_rejects_wrong_dims(rng):

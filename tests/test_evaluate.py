@@ -47,18 +47,6 @@ def test_tie_break_prefers_smaller_id():
     assert topk_retrieval(queries, index, 1, mode="image") == pytest.approx(2 / 3)
 
 
-def test_local_scope_partitions(rng):
-    emb = unit_rows(rng.normal(size=(8, 4)))
-    index = RetrievalIndex(emb, labels=np.arange(8))
-    batches = [np.arange(0, 4), np.arange(4, 8)]
-    acc = topk_retrieval(emb, index, 1, mode="image", scope="local", batches=batches)
-    assert acc == 1.0
-    with pytest.raises(EvalError):
-        topk_retrieval(emb, index, 1, scope="local", batches=[np.arange(0, 4)])
-    with pytest.raises(EvalError):
-        topk_retrieval(emb, index, 1, scope="local")
-
-
 def test_retrieval_validation(rng):
     emb = rng.normal(size=(4, 3))
     index = RetrievalIndex(emb, labels=np.zeros(4))
@@ -70,8 +58,6 @@ def test_retrieval_validation(rng):
         topk_retrieval(emb, index, 1, mode="bogus")
     with pytest.raises(EvalError):
         topk_retrieval(rng.normal(size=(3, 3)), index, 1)
-    with pytest.raises(EvalError):
-        RetrievalIndex(emb, labels=np.zeros(4), ids=np.array([1, 1, 2, 3]))
 
 
 @given(st.integers(0, 2**32 - 1))

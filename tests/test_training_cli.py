@@ -104,6 +104,8 @@ def test_config_validate_errors(tmp_path):
         {"sample_steps": 0},
         {"sample_steps": 999},
         {"heads": 3},
+        {"attn_heads": 3},
+        {"latent_tokens": 1},
         {"grid": 5},
         {"grid": [2, 4]},
         {"widths": [4, 8.0]},
@@ -284,8 +286,13 @@ def test_diverging_sampler_exits_1(ws, monkeypatch, capsys):
         {"samples": np.zeros((4, 2, 4, 4)), "labels": np.zeros(3)},
         {"samples": np.full((4, 2, 4, 4), np.nan), "labels": np.zeros(4)},
         {"samples": 1e300 * np.arange(128.0).reshape(4, 2, 4, 4), "labels": np.zeros(4)},
+        {"samples": np.zeros((4, 2, 4, 4)), "labels": np.array([0.0, np.nan, 1.0, 2.0])},
+        {"samples": np.zeros((4, 2, 4, 4)), "labels": np.array([0.0, 99.0, 1.0, 2.0])},
+        {"samples": np.zeros((4, 2, 4, 4)), "labels": np.array([0.0, -3.0, 1.0, 2.0])},
+        {"samples": np.zeros((4, 2, 4, 4)), "labels": np.array([0.0, 1.5, 1.0, 2.0])},
     ],
-    ids=["no-labels", "length-mismatch", "non-finite", "huge-finite"],
+    ids=["no-labels", "length-mismatch", "non-finite", "huge-finite",
+         "nan-label", "label-99", "label--3", "label-1.5"],
 )
 def test_eval_gen_rejects_malformed_samples(ws, records, capsys):
     write_container(ws.cfg.samples_path(-3.0), records, {"kind": "samples"})
@@ -311,12 +318,19 @@ def test_huge_scale_sample_exits_1(ws, scale, capsys):
 
 @pytest.mark.parametrize(
     "record, value",
-    [("train_idx", 1000000.0), ("val_idx", -1.0), ("test_idx", 0.5), ("labels", 4.0)],
+    [
+        ("train_idx", 1000000.0), ("val_idx", -1.0), ("test_idx", 0.5), ("labels", 4.0),
+        # a slice keeps only those rows of the record
+        pytest.param("window_image_emb", slice(0, 5), id="window_image_emb-truncated"),
+    ],
 )
 def test_train_rejects_out_of_range_dataset_records(ws, tmp_path, record, value, capsys):
     arrays, meta = read_container(ws.cfg.resolved_data_dir / "dataset.bin")
-    arrays[record] = arrays[record].copy()
-    arrays[record][0] = value
+    if isinstance(value, slice):
+        arrays[record] = arrays[record][value]
+    else:
+        arrays[record] = arrays[record].copy()
+        arrays[record][0] = value
     write_container(tmp_path / "data" / "dataset.bin", arrays, meta)
     argv = write_config(tmp_path / "config.json", ws.cfg, out_dir=str(tmp_path), data_dir=None)
     capsys.readouterr()
