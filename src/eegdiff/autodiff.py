@@ -39,13 +39,14 @@ Design notes:
   yields identical results.
 
 Primitives: elementwise ``add``/``sub``/``mul``/``div``/``power``/``exp``/
-``log``/``abs_``/``minimum``/``relu``/``sigmoid``; ``matmul`` and ``linear``,
-the affine map behind ``nn.Linear`` and ``diffusion.Conv3x3``; reductions and
-normalizers ``sum_``/``mean``/``softmax``/``cosine_similarity`` and
-``standardize``, behind ``nn.LayerNorm`` and ``nn.BatchNorm``; and
-structural ``reshape``/``transpose``/``concat``, ``im2col3x3``, the 3x3 patch
-unfold behind ``diffusion.Conv3x3``, and ``upsample2``, the nearest-neighbour
-2x upsampling of the denoiser.  ``pad_last2``/``crop_last2`` no longer serve
+``log``/``abs_``/``minimum``/``relu``/``sigmoid``; ``matmul``; ``linear``,
+the affine map behind ``nn.Linear``; ``conv3x3``, the same-padding 3x3
+convolution behind ``diffusion.Conv3x3``, whose graph keeps its input but
+never its patch matrix; reductions and normalizers ``sum_``/``mean``/
+``softmax``/``cosine_similarity`` and ``standardize``, behind
+``nn.LayerNorm`` and ``nn.BatchNorm``; and structural ``reshape``/
+``transpose``/``concat`` and ``upsample2``, the nearest-neighbour 2x
+upsampling of the denoiser.  ``pad_last2``/``crop_last2`` no longer serve
 any model: they remain only because the benchmark tracer wraps them by name
 and the reference ``Conv3x3`` of the tests is built from them.
 """
@@ -70,8 +71,8 @@ class NonFiniteError(FloatingPointError):
 # Ops whose outputs are copies, selections or bounded maps of their inputs:
 # finite inputs, which were probed when they were made, give finite outputs.
 FINITE_PRESERVING = frozenset(
-    {"reshape", "transpose", "concat", "pad_last2", "crop_last2", "im2col3x3",
-     "upsample2", "relu", "abs", "minimum", "sigmoid", "softmax"}
+    {"reshape", "transpose", "concat", "pad_last2", "crop_last2", "upsample2",
+     "relu", "abs", "minimum", "sigmoid", "softmax"}
 )
 
 _grad_enabled = True
@@ -534,53 +535,102 @@ _IM2COL_SPANS = (
     (slice(None, -1), slice(1, None)),
 )
 
+# The forward GEMM of conv3x3 runs over blocks of whole images, each of at
+# least this many patch rows, so guided sampling at batch 64 copies at most
+# 4.7 MB of patches at a time instead of 18.9 MB.  Measured with OpenBLAS
+# 0.3.31 (one thread) on (4096 or 8192, K) @ (K, N) at the six (K, N) of the
+# default denoiser: row blocks of 1024 and 2048 rows rounded like the
+# unblocked product in every case, while blocks of 64 to 896 rows rounded
+# differently for (K, N) = (288, 4), the output conv.
+CONV_BLOCK_ROWS = 1024
 
-def im2col3x3(x) -> Tensor:
-    """Unfold the 3x3 zero-padded neighbourhoods of a (B, C, H, W) tensor.
 
-    Returns the (B*H*W, 9*C) patch matrix of a same-padding 3x3 convolution
-    (Chellapilla et al. 2006): row ``(b, i, j)`` holds ``x[b, c, i+dy-1,
-    j+dx-1]`` at column ``(dy*3 + dx)*C + c``, zero outside the image.  The
-    forward pass is one copy out of a strided window view of a channel-last
-    padded buffer.  The backward pass adds the in-image part of each of the
-    nine shifted gradient slabs, in ascending ``(dy, dx)`` order, into one
-    zeroed, unpadded channel-last (B, H, W, C) buffer and returns its
-    (B, C, H, W) view.  When ``x`` is itself channel-last, as the output of
-    another ``Conv3x3`` is, that view has ``x``'s strides and the engine
-    adopts it as the gradient without a copy.
+def _patches(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The (n*H*W, 9*C) patch matrix of images ``lo:hi`` of a (B, C, H, W)
+    array, for a same-padding 3x3 convolution (Chellapilla et al. 2006).
+
+    Row ``(b, i, j)`` holds ``x[b, c, i+dy-1, j+dx-1]`` at column
+    ``(dy*3 + dx)*C + c``, zero outside the image: one copy out of a strided
+    window view of a channel-last padded buffer.
     """
-    x = as_tensor(x)
-    if x.ndim != 4:
-        raise ShapeError(f"im2col3x3 requires (batch, channels, H, W), got {x.shape}")
-    b, c, h, w = x.shape
-    padded = np.zeros((b, h + 2, w + 2, c))
-    padded[:, 1:-1, 1:-1, :] = x.data.transpose(0, 2, 3, 1)
+    n, (_, c, h, w) = hi - lo, x.shape
+    padded = np.zeros((n, h + 2, w + 2, c))
+    padded[:, 1:-1, 1:-1, :] = x[lo:hi].transpose(0, 2, 3, 1)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
-    if b == 1:
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, 9 * c)
+    if x.shape[0] == 1:
         # Conv3x3 outputs at batch 1 have always come from a column-major
         # patch matrix; BLAS rounds each layout differently, so keep it.
         cols = np.asfortranarray(cols)
+    return cols
 
-    def vjp(g):
-        g = g.reshape(b, h, w, 3, 3, c)
-        acc = np.zeros((b, h, w, c))
+
+def conv3x3(x, w, b) -> Tensor:
+    """Same-padding 3x3 convolution of a (B, C, H, W) tensor as one node.
+
+    ``w`` is (9*C, N) with rows ordered (dy, dx, c) and ``b`` is (N,).  The
+    forward pass multiplies the patch matrix (see :func:`_patches`) by ``w``
+    block by block (:data:`CONV_BLOCK_ROWS`) into one channel-last
+    (B, H, W, N) buffer, adds the bias in place and returns its (B, N, H, W)
+    view.  The VJPs keep ``x``, never the patches:
+
+    * ``x``: ``g @ w.T``, then the in-image part of each of the nine shifted
+      gradient slabs added in ascending ``(dy, dx)`` order into one zeroed
+      channel-last buffer, returned as its (B, C, H, W) view, which the
+      engine adopts without a copy when ``x`` is itself channel-last;
+    * ``w``: the patch matrix, rebuilt from ``x`` in one piece, transposed
+      times ``g`` (recompute instead of store, Chen et al. 2016);
+    * ``b``: ``g`` as (B*H*W, N) rows, which the engine sums.
+
+    Values and gradients equal those of the patch unfold, ``linear``,
+    ``reshape`` and ``transpose`` it replaces.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.ndim != 4:
+        raise ShapeError(f"conv3x3 requires x of (batch, channels, H, W), got {x.shape}")
+    n, c, h, wd = x.shape
+    if w.ndim != 2 or w.shape[0] != 9 * c:
+        raise ShapeError(f"conv3x3 weight {w.shape} does not match {c} input channels")
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"conv3x3 bias {b.shape} does not match the weight {w.shape}")
+    c_out, hw = w.shape[1], h * wd
+    out = np.empty((n, h, wd, c_out))
+    rows = out.reshape(n * hw, c_out)
+    # Whole images of at least CONV_BLOCK_ROWS rows; a short tail joins the
+    # block before it.
+    per = -(-CONV_BLOCK_ROWS // hw)
+    bounds = [i * per for i in range(max(1, n // per))] + [n]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        np.matmul(_patches(x.data, lo, hi), w.data, out=rows[lo * hw : hi * hw])
+    np.add(rows, b.data, out=rows)
+
+    def g_rows(g):
+        return g.transpose(0, 2, 3, 1).reshape(n * hw, c_out)
+
+    def x_vjp(g):
+        g_cols = np.matmul(g_rows(g), w.data.T).reshape(n, h, wd, 3, 3, c)
+        acc = np.zeros((n, h, wd, c))
         for dy, (src_y, dst_y) in enumerate(_IM2COL_SPANS):
             for dx, (src_x, dst_x) in enumerate(_IM2COL_SPANS):
-                acc[:, dst_y, dst_x, :] += g[:, src_y, src_x, dy, dx, :]
+                acc[:, dst_y, dst_x, :] += g_cols[:, src_y, src_x, dy, dx, :]
         return acc.transpose(0, 3, 1, 2)
 
-    return _make(cols, (x,), (vjp,), "im2col3x3")
+    return _make(
+        out.transpose(0, 3, 1, 2),
+        (x, w, b),
+        (x_vjp, lambda g: np.matmul(_patches(x.data, 0, n).T, g_rows(g)), g_rows),
+        "conv3x3",
+    )
 
 
 def upsample2(x) -> Tensor:
     """Nearest-neighbour 2x upsampling of a (B, C, H, W) tensor.
 
     The forward pass is one broadcast copy into a channel-last (B, H, 2, W,
-    2, C) buffer, returned as its (B, C, 2H, 2W) view, so an ``im2col3x3``
-    of the result copies contiguous rows.  The backward pass sums each 2x2
-    gradient block as ``(g00 + g01) + (g10 + g11)`` (row, column) and
-    returns the channel-last (B, C, H, W) view of the sum.
+    2, C) buffer, returned as its (B, C, 2H, 2W) view, so the ``conv3x3``
+    patch copy of the result reads contiguous rows.  The backward pass sums
+    each 2x2 gradient block as ``(g00 + g01) + (g10 + g11)`` (row, column)
+    and returns the channel-last (B, C, H, W) view of the sum.
     """
     x = as_tensor(x)
     if x.ndim != 4:

@@ -29,6 +29,7 @@ from .nn import ConfigError
 from .signalio import ContainerError, DataError, generate_dataset, integers_below, read_container, write_container
 from .training import (
     DATASET_FIELDS,
+    TOP_K,
     RunConfig,
     encode_windows,
     finite_scale,
@@ -81,12 +82,9 @@ def cmd_train_stage2(args) -> int:
     return 0
 
 
-def _generate(cfg: RunConfig, scale: float, steps: int, num: int):
-    """Sample guided latents conditioned on held-out windows; returns
-    (samples, labels, container path)."""
-    data = load_data(cfg)
-    encoder = load_stage1_model(cfg)
-    model = load_stage2_model(cfg)
+def _generate(cfg: RunConfig, data, encoder, model, scale: float, steps: int, num: int):
+    """Sample guided latents conditioned on held-out windows of the loaded
+    dataset; returns (samples, labels, container path)."""
     cond, labels = generation_conditions(cfg, data, encoder, num)
     samples = sample_latents(model, cond, scale, steps=steps, seed=cfg.seed)
     path = cfg.samples_path(scale)
@@ -109,7 +107,8 @@ def cmd_sample(args) -> int:
     scale = cfg.guidance_scale if args.scale is None else finite_scale(args.scale)
     steps = cfg.sample_steps if args.steps is None else int(args.steps)
     num = cfg.num_samples if args.num is None else int(args.num)
-    _, labels, path = _generate(cfg, scale, steps, num)
+    loaded = load_data(cfg), load_stage1_model(cfg), load_stage2_model(cfg)
+    _, labels, path = _generate(cfg, *loaded, scale, steps, num)
     print(f"wrote {path} ({len(labels)} samples, scale {format_float(scale)})")
     return 0
 
@@ -123,9 +122,9 @@ def cmd_eval_retrieval(args) -> int:
     gallery = RetrievalIndex(data.window_image_emb[idx], labels=data.labels[idx])
     rows = [
         ["label_top1", topk_retrieval(pooled, gallery, 1, mode="label")],
-        ["label_top5", topk_retrieval(pooled, gallery, 5, mode="label")],
+        ["label_top5", topk_retrieval(pooled, gallery, TOP_K, mode="label")],
         ["image_top1", topk_retrieval(pooled, gallery, 1, mode="image")],
-        ["image_top5", topk_retrieval(pooled, gallery, 5, mode="image")],
+        ["image_top5", topk_retrieval(pooled, gallery, TOP_K, mode="image")],
     ]
     out = write_csv(cfg.eval_dir / "retrieval.csv", ["metric", "value"], rows)
     emb = export_embeddings(pooled, data.labels[idx], cfg.eval_dir / "test_embeddings.csv")
@@ -135,14 +134,18 @@ def cmd_eval_retrieval(args) -> int:
     return 0
 
 
-def _gen_metrics(cfg: RunConfig, samples: np.ndarray, labels: np.ndarray):
-    """Class agreement against target anchors and Fréchet distance against
-    the real latent-target population."""
-    data = load_data(cfg)
-    encoder = load_stage1_model(cfg)
+def _real_population(cfg: RunConfig, data, encoder):
+    """The class target anchors and the Gaussian fit of the real
+    latent-target population that generated samples are scored against."""
     real = stage2_training_set(cfg, data, encoder)
-    agree = class_agreement(samples, labels, real["anchors"])
-    real_stats = fit_gaussian(real["x0"].reshape(len(real["x0"]), -1))
+    return real["anchors"], fit_gaussian(real["x0"].reshape(len(real["x0"]), -1))
+
+
+def _gen_metrics(samples: np.ndarray, labels: np.ndarray, real):
+    """Class agreement against target anchors and Fréchet distance against
+    the real population of :func:`_real_population`."""
+    anchors, real_stats = real
+    agree = class_agreement(samples, labels, anchors)
     gen_stats = fit_gaussian(np.asarray(samples).reshape(len(samples), -1))
     return agree, frechet_distance(gen_stats, real_stats)
 
@@ -171,7 +174,7 @@ def cmd_eval_gen(args) -> int:
     cfg = _config_from(args)
     scale = cfg.guidance_scale if args.scale is None else finite_scale(args.scale)
     samples, labels = _load_samples(cfg, scale)
-    agree, fd = _gen_metrics(cfg, samples, labels)
+    agree, fd = _gen_metrics(samples, labels, _real_population(cfg, load_data(cfg), load_stage1_model(cfg)))
     out = write_csv(
         cfg.eval_dir / f"gen_scale_{format_float(scale)}.csv",
         ["scale", "agreement", "frechet"],
@@ -192,10 +195,12 @@ def cmd_cfg_sweep(args) -> int:
         raise ConfigError("--scales must name at least one scale")
     steps = cfg.sample_steps if args.steps is None else int(args.steps)
     num = cfg.num_samples if args.num is None else int(args.num)
+    data, encoder, model = load_data(cfg), load_stage1_model(cfg), load_stage2_model(cfg)
+    real = _real_population(cfg, data, encoder)
     rows = []
     for scale in scales:
-        samples, labels, _ = _generate(cfg, scale, steps, num)
-        agree, fd = _gen_metrics(cfg, samples, labels)
+        samples, labels, _ = _generate(cfg, data, encoder, model, scale, steps, num)
+        agree, fd = _gen_metrics(samples, labels, real)
         rows.append([scale, agree, fd])
         print(f"scale {format_float(scale)} agreement {format_float(agree)} frechet {format_float(fd)}")
     out = write_csv(cfg.eval_dir / "cfg_sweep.csv", ["scale", "agreement", "frechet"], rows)

@@ -134,11 +134,10 @@ def timestep_embedding(t, dim: int) -> np.ndarray:
 
 
 class Conv3x3:
-    """3x3 same-padding convolution: im2col plus one ``linear`` op.
+    """3x3 same-padding convolution: one ``ad.conv3x3`` node.
 
-    ``ad.im2col3x3`` turns (B, c_in, H, W) into the (B*H*W, 9*c_in) patch
-    matrix with columns ordered (dy, dx, c); ``w`` is (9*c_in, c_out) in the
-    same row order.
+    ``w`` is (9*c_in, c_out) with rows ordered (dy, dx, c), the column order
+    of the op's patch matrix; ``b`` is (c_out,).
     """
 
     def __init__(self, rng: np.random.Generator, c_in: int, c_out: int):
@@ -147,11 +146,7 @@ class Conv3x3:
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.ndim != 4 or x.shape[1] != self.c_in:
-            raise ShapeError(f"conv expects (batch, {self.c_in}, H, W), got {x.shape}")
-        b, _, h, w = x.shape
-        y = ad.linear(ad.im2col3x3(x), self.w, self.b)
-        return y.reshape(b, h, w, self.c_out).transpose(0, 3, 1, 2)
+        return ad.conv3x3(x, self.w, self.b)
 
     def params(self) -> dict[str, Tensor]:
         return {"w": self.w, "b": self.b}

@@ -246,6 +246,17 @@ def _make_anchors(
     return text, image
 
 
+def split_sizes(per_class: int, val_frac: float, test_frac: float) -> tuple[int, int]:
+    """Windows per class in the validation and test splits; the rest train."""
+    if not (0.0 <= val_frac < 1.0 and 0.0 <= test_frac < 1.0 and val_frac + test_frac < 1.0):
+        raise DataError("split fractions must be in [0, 1) and sum below 1")
+    n_test = int(round(per_class * test_frac))
+    n_val = int(round(per_class * val_frac))
+    if per_class - n_val - n_test < 1:
+        raise DataError("split fractions leave no training windows")
+    return n_val, n_test
+
+
 def generate_dataset(
     out_dir,
     channels: int,
@@ -283,14 +294,7 @@ def generate_dataset(
         raise DataError("need at least 2 windows per class")
     if subjects < 1:
         raise DataError("need at least 1 subject")
-    if not (0.0 <= val_frac < 1.0 and 0.0 <= test_frac < 1.0 and val_frac + test_frac < 1.0):
-        raise DataError("split fractions must be in [0, 1) and sum below 1")
-
-    n_test = int(round(per_class * test_frac))
-    n_val = int(round(per_class * val_frac))
-    n_train = per_class - n_val - n_test
-    if n_train < 1:
-        raise DataError("split fractions leave no training windows")
+    n_val, n_test = split_sizes(per_class, val_frac, test_frac)
 
     anchor_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     class_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))

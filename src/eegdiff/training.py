@@ -38,7 +38,7 @@ from .losses import (
     v_loss,
 )
 from .nn import BATCH_NORM_EPS, LAYER_NORM_EPS, ConfigError
-from .signalio import Dataset, load_checkpoint, load_dataset, save_checkpoint
+from .signalio import DataError, Dataset, load_checkpoint, load_dataset, save_checkpoint, split_sizes
 
 
 class Adam:
@@ -78,6 +78,10 @@ class Adam:
             v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
+
+# The k of the top-5 retrieval metrics: the validation and test splits,
+# which they score, must hold at least this many windows.
+TOP_K = 5
 
 # RunConfig fields that `signalio.generate_dataset` takes as keyword arguments.
 DATASET_FIELDS = (
@@ -158,6 +162,15 @@ class RunConfig:
                 f"sample_steps must lie in [1, {self.schedule_steps}], got {self.sample_steps}"
             )
         finite_scale(self.guidance_scale)
+        try:
+            n_val, n_test = split_sizes(self.per_class, self.val_frac, self.test_frac)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+        for split, windows in (("validation", self.classes * n_val), ("test", self.classes * n_test)):
+            if windows < TOP_K:
+                raise ConfigError(
+                    f"the {split} split holds {windows} windows; top-{TOP_K} retrieval needs at least {TOP_K}"
+                )
         return self
 
     # -- derived views ------------------------------------------------------
@@ -418,7 +431,7 @@ def evaluate_stage1(model: SignalAutoencoder, data: Dataset, weights: LossWeight
     ]
     gallery = RetrievalIndex(data.window_image_emb[idx], labels=data.labels[idx])
     top1 = topk_retrieval(pooled, gallery, 1, mode="label")
-    top5 = topk_retrieval(pooled, gallery, 5, mode="label")
+    top5 = topk_retrieval(pooled, gallery, TOP_K, mode="label")
     return {"mse": mse, "dice": float(np.mean(dice_values)), "top1": top1, "top5": top5}
 
 
@@ -558,9 +571,14 @@ def primitive_cases(rng: np.random.Generator) -> dict:
         "pad-last2": (lambda x: ad.sum_(ad.mul(ad.pad_last2(x, 1), w56)), rng.normal(size=(3, 4))),
         "crop-last2": (lambda x: ad.sum_(ad.mul(ad.crop_last2(x, 1, 1, 2, 2), w22)), rng.normal(size=(3, 4))),
     }
-    # drawn after the cases above so their points stay the same
-    w_cols = Tensor(rng.normal(size=(12, 18)))
-    cases["im2col3x3"] = (lambda x: ad.sum_(ad.mul(ad.im2col3x3(x), w_cols)), rng.normal(size=(2, 2, 2, 3)))
+    # drawn after the cases above so their points stay the same; the leaf
+    # is a (2, 2, 3, 3) feature map, the weight (its (18, 2) reshape) and the
+    # bias (its per-channel mean), so every VJP of conv3x3 is audited
+    w_conv = Tensor(rng.normal(size=(2, 2, 3, 3)))
+    cases["conv3x3"] = (
+        lambda x: ad.sum_(ad.mul(ad.conv3x3(x, ad.reshape(x, (18, 2)), ad.mean(x, axis=(0, 2, 3))), w_conv)),
+        rng.normal(size=(2, 2, 3, 3)),
+    )
     # the leaf is the (2, 4, 4) token input, the weight (its batch mean) and
     # the bias (its token mean), so every VJP of linear is audited
     w_lin = Tensor(rng.normal(size=(2, 4, 4)))

@@ -1,4 +1,5 @@
 import ast
+import functools
 import gc
 import inspect
 import itertools
@@ -14,8 +15,8 @@ from eegdiff import autodiff as ad
 from eegdiff.autodiff import NonFiniteError, ShapeError, Tensor
 from eegdiff.diffusion import Conv3x3, apply_train_mask, selective_finetune_mask, stage2_train_step
 from eegdiff.encoder import SignalAutoencoder, mean_pool_latent
-from eegdiff.losses import stage1_loss_terms
-from eegdiff.training import Adam, build_stage2_model, primitive_cases
+from eegdiff.losses import stage1_loss_terms, v_loss
+from eegdiff.training import Adam, RunConfig, build_stage2_model, primitive_cases
 
 
 def test_tensor_basics(rng):
@@ -95,6 +96,7 @@ MULTI_PARENT = {
     "div": (ad.div, [(3, 1), (2, 3, 4)]),
     "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
     "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
+    "conv3x3": (ad.conv3x3, [(2, 3, 4, 5), (27, 2), (2,)]),
     "minimum": (ad.minimum, [(3, 4), (1, 4)]),
     "cosine_similarity": (ad.cosine_similarity, [(3, 1, 5), (1, 4, 5)]),
     "concat": (lambda *parts: ad.concat(parts, axis=1), [(2, 1, 3), (2, 2, 3), (2, 3, 3)]),
@@ -252,6 +254,117 @@ def test_linear_matches_add_of_matmul(x_shape, w_shape, bias, rng):
         assert new.strides == old.strides
 
 
+def reference_im2col3x3(x):
+    """The patch unfold op that ``Conv3x3`` ran before ``ad.conv3x3``: the
+    (B*H*W, 9*C) patch matrix as a graph node, column-major at batch 1."""
+    b, c, h, w = x.shape
+    padded = np.zeros((b, h + 2, w + 2, c))
+    padded[:, 1:-1, 1:-1, :] = x.data.transpose(0, 2, 3, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * h * w, 9 * c)
+    if b == 1:
+        cols = np.asfortranarray(cols)
+
+    def vjp(g):
+        g = g.reshape(b, h, w, 3, 3, c)
+        acc = np.zeros((b, h, w, c))
+        for dy, (src_y, dst_y) in enumerate(ad._IM2COL_SPANS):
+            for dx, (src_x, dst_x) in enumerate(ad._IM2COL_SPANS):
+                acc[:, dst_y, dst_x, :] += g[:, src_y, src_x, dy, dx, :]
+        return acc.transpose(0, 3, 1, 2)
+
+    return ad._make(cols, (x,), (vjp,), "im2col3x3")
+
+
+def composite_conv3x3(x, w, b):
+    """The four-node convolution ``ad.conv3x3`` replaced: patch unfold,
+    ``linear``, then ``reshape`` and ``transpose`` back to (B, N, H, W)."""
+    n, _, h, wd = x.shape
+    y = ad.linear(reference_im2col3x3(x), w, b)
+    return y.reshape(n, h, wd, w.shape[1]).transpose(0, 3, 1, 2)
+
+
+# (c_in, c_out, H, W) of the seven default denoiser convs: conv_in, enc1,
+# down, mid, up, dec1, conv_out.
+DENOISER_CONVS = [
+    (4, 32, 8, 8), (32, 32, 8, 8), (32, 64, 4, 4), (64, 64, 4, 4), (64, 32, 8, 8), (32, 32, 8, 8), (32, 4, 8, 8)
+]
+
+
+# batch 1 takes the column-major patch path, 16 is the training batch and 64
+# the sampler batch, whose 8x8 convs run in four GEMM blocks
+@pytest.mark.parametrize("batch", [1, 16, 64])
+@pytest.mark.parametrize("c_in,c_out,h,w", DENOISER_CONVS)
+def test_conv3x3_matches_four_node_composite(c_in, c_out, h, w, batch):
+    rng = np.random.default_rng(np.random.SeedSequence([c_in, c_out, h, batch]))
+    # channel-last input, as every conv input in the denoiser but the first
+    x_data = np.ascontiguousarray(rng.normal(size=(batch, h, w, c_in))).transpose(0, 3, 1, 2)
+    values = [x_data, rng.normal(size=(9 * c_in, c_out)), rng.normal(size=c_out)]
+    weight = rng.normal(size=(batch, c_out, h, w))
+    runs = []
+    for fn in (ad.conv3x3, composite_conv3x3):
+        inputs = [Tensor(v, requires_grad=True) for v in values]
+        y = fn(*inputs)
+        ad.sum_(ad.mul(y, weight)).backward()
+        runs.append([y.data] + [t.grad for t in inputs])
+    for new, old in zip(*runs):
+        assert np.array_equal(new, old)
+        assert new.strides == old.strides
+
+
+def test_conv3x3_is_one_node(rng):
+    x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+    y = Conv3x3(rng, 3, 5)(x)
+    assert y._op == "conv3x3" and y._parents[0] is x
+
+
+def _retained_arrays(root: Tensor):
+    """Every array the graph of ``root`` keeps alive: node data, plus what
+    the VJP closures hold (their cells and default arguments)."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Tensor):
+            stack += [obj.data, *obj._parents, obj._backward]
+        elif isinstance(obj, (tuple, list)):
+            stack += obj
+        elif isinstance(obj, functools.partial):
+            stack += [obj.func, *obj.args]
+        elif inspect.isfunction(obj):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+            stack += obj.__defaults__ or ()
+    return found
+
+
+def test_stage2_graph_holds_no_patch_matrix():
+    cfg = RunConfig()
+    rng = np.random.default_rng(3)
+    model = build_stage2_model(cfg, rng)
+    apply_train_mask(model, selective_finetune_mask(model))
+    b = cfg.batch_size
+    x0 = rng.normal(size=(b,) + cfg.grid)
+    cond = model.condition(rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim)))
+    t = rng.integers(0, model.schedule.steps, size=b)
+    loss = v_loss(Tensor(x0), Tensor(rng.normal(size=x0.shape)), t, cond, model.denoise, model.schedule)
+    _, h, w = cfg.grid
+    patch_shapes = {
+        (b * (h // scale) * (w // scale), 9 * conv.c_in)
+        for conv, scale in (
+            (model.denoiser.conv_in, 1), (model.denoiser.enc1, 1), (model.denoiser.down, 2),
+            (model.denoiser.mid, 2), (model.denoiser.up, 1), (model.denoiser.dec1, 1),
+            (model.denoiser.conv_out, 1),
+        )
+    }
+    arrays = _retained_arrays(loss)
+    assert len(arrays) > 100  # the walk reached the denoiser
+    assert not [a.shape for a in arrays if a.shape in patch_shapes or a.shape[::-1] in patch_shapes]
+
+
 def composite_upsample2(x):
     """The reshape, broadcast ``mul`` and reshape that upsampled before
     ``ad.upsample2``."""
@@ -304,7 +417,6 @@ FINITE_CASES = {
     "concat": lambda x, y: ad.concat([x, y], axis=1),
     "pad_last2": lambda x, y: ad.pad_last2(x, 1),
     "crop_last2": lambda x, y: ad.crop_last2(x, 1, 0, 2, 3),
-    "im2col3x3": lambda x, y: ad.im2col3x3(x),
     "upsample2": lambda x, y: ad.upsample2(x),
     "relu": lambda x, y: ad.relu(x),
     "abs": lambda x, y: ad.abs_(x),
@@ -437,9 +549,15 @@ def test_pad_crop_guards():
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 5), (1, 2, 3, 4, 5)])
-def test_im2col3x3_requires_4d(shape):
+def test_conv3x3_requires_4d(shape):
     with pytest.raises(ShapeError):
-        ad.im2col3x3(Tensor(np.ones(shape)))
+        ad.conv3x3(Tensor(np.ones(shape)), Tensor(np.ones((9 * shape[1], 2))), Tensor(np.ones(2)))
+
+
+@pytest.mark.parametrize("w,b", [((27, 2), (3,)), ((18, 2), (2,)), ((27, 2, 1), (2, 1)), ((27, 2), (1, 2))])
+def test_conv3x3_shape_errors(w, b):
+    with pytest.raises(ShapeError):
+        ad.conv3x3(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(w)), Tensor(np.ones(b)))
 
 
 def test_gradient_audit_covers_every_op(monkeypatch):

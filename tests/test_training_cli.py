@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from eegdiff import cli, training
+from eegdiff import cli, signalio, training
 from eegdiff.autodiff import NonFiniteError, Tensor
 from eegdiff.cli import main
 from eegdiff.losses import LossWeights
@@ -121,6 +121,9 @@ def test_config_validate_errors(tmp_path):
         {"loss_weights": {"mse": float("nan")}},
         {"out_dir": 3},
         {"data_dir": 3},
+        {"val_frac": 1.5},
+        {"classes": 2, "per_class": 6},  # a 2-window validation split
+        {"test_frac": 0.0},  # an empty test split
     ):
         raw = dict(base, **patch)
         with pytest.raises(ConfigError):
@@ -229,6 +232,24 @@ def test_cfg_sweep(ws):
     assert lines[0] == "scale,agreement,frechet"
     assert len(lines) == 3
     assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "2.0"]
+
+
+def test_cfg_sweep_loads_each_input_once(ws, monkeypatch):
+    reads, populations = [], []
+    read = signalio.read_container
+    monkeypatch.setattr(signalio, "read_container", lambda path: reads.append(Path(path).name) or read(path))
+    population = cli.stage2_training_set
+    monkeypatch.setattr(cli, "stage2_training_set", lambda *a: populations.append(1) or population(*a))
+    assert main(["cfg-sweep", *ws.argv, "--scales", "0,2", "--num", "4"]) == 0
+    assert sorted(reads) == ["autoencoder.bin", "dataset.bin", "diffusion.bin"]
+    assert len(populations) == 1
+
+
+def test_gen_data_rejects_a_split_too_small_to_score(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json", tiny_config(str(tmp_path / "run")), classes=2, per_class=6)
+    assert main(["gen-data", *config]) == 1
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "run").exists()
 
 
 def test_cfg_sweep_rejects_bad_scales(ws, capsys):
@@ -379,7 +400,9 @@ def test_dataset_config_mismatch_exits_1(ws, tmp_path, argv, capsys):
     write_container(
         ws.cfg.samples_path(-5.0), {"samples": np.zeros((4, 2, 4, 4)), "labels": np.zeros(4)}, {"kind": "samples"}
     )
-    config = write_config(tmp_path / "config.json", ws.cfg, classes=2)
+    # 18 windows per class, so the 2-class config still scores 6 validation
+    # and 6 test windows
+    config = write_config(tmp_path / "config.json", ws.cfg, classes=2, per_class=18)
     outputs = sorted(Path(ws.cfg.out_dir).rglob("*"))
     capsys.readouterr()
     assert main([*argv, *config]) == 1
