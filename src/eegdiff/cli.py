@@ -50,6 +50,7 @@ DEFAULT_SWEEP = "3,5,7,9"
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
+    """The command's run config with its flag overrides, checked once."""
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.seed = args.seed

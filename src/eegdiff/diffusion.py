@@ -57,7 +57,11 @@ class NoiseSchedule:
 
 
 def build_schedule(steps: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> NoiseSchedule:
-    """Linear beta ramp; alphas strictly decrease, sigmas strictly increase."""
+    """Linear beta ramp; alphas strictly decrease, sigmas strictly increase.
+
+    The schedule checks its own arguments; ``RunConfig.validate`` builds the
+    run's schedule once so that a bad one fails before any command works.
+    """
     if steps < 2:
         raise ConfigError(f"schedule needs at least 2 steps, got {steps}")
     if not (0.0 < beta_min <= beta_max < 1.0):
@@ -123,9 +127,7 @@ def build_condition(latent, adapted) -> Tensor:
 
 
 def timestep_embedding(t, dim: int) -> np.ndarray:
-    """Sinusoidal features (batch, dim) for integer timesteps."""
-    if dim % 2 != 0:
-        raise ConfigError("timestep embedding dim must be even")
+    """Sinusoidal features (batch, dim) for integer timesteps; ``dim`` is even."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     half = dim // 2
     freqs = np.exp(-np.log(TIMESTEP_MAX_PERIOD) * np.arange(half) / half)
@@ -189,27 +191,14 @@ class CrossAttention:
 
 @dataclass
 class DenoiserConfig:
+    """Denoiser sizes; ``RunConfig.validate`` checks the run's values."""
+
     cond_dim: int
     grid: tuple[int, int, int] = (4, 8, 8)
     widths: tuple[int, int] = (32, 64)
     attn_width: int = 32
     attn_heads: int = 4
     time_dim: int = 64
-
-    def validate(self) -> "DenoiserConfig":
-        if len(self.grid) != 3 or any(d < 1 for d in self.grid):
-            raise ConfigError(f"grid must be (channels, H, W), got {self.grid}")
-        if self.grid[1] % 2 or self.grid[2] % 2:
-            raise ConfigError(f"grid spatial dims must be even, got {self.grid}")
-        if len(self.widths) != 2 or any(w < 1 for w in self.widths):
-            raise ConfigError(f"widths must be two positive ints, got {self.widths}")
-        if self.time_dim % 2:
-            raise ConfigError("time_dim must be even")
-        if self.attn_width % self.attn_heads:
-            raise ConfigError(f"attn_width {self.attn_width} not divisible by heads {self.attn_heads}")
-        if self.cond_dim < 2:
-            raise ConfigError("cond_dim must be >= 2")
-        return self
 
 
 class Denoiser:
@@ -222,8 +211,7 @@ class Denoiser:
     """
 
     def __init__(self, config: DenoiserConfig, rng: np.random.Generator):
-        cfg = config.validate()
-        self.config = cfg
+        self.config = cfg = config
         cin = cfg.grid[0]
         w1, w2 = cfg.widths
         self.time_fc1 = Linear(rng, cfg.time_dim, cfg.time_dim)
@@ -307,16 +295,6 @@ class Denoiser:
 # -- stage-2 model, selective finetuning, training step ----------------------
 
 
-@dataclass(frozen=True)
-class TrainMask:
-    """Names of the parameters allowed to update during stage 2."""
-
-    names: tuple[str, ...]
-
-    def __contains__(self, name: str) -> bool:
-        return name in set(self.names)
-
-
 class Stage2Model:
     """Denoiser plus condition adapter with a shared parameter namespace.
 
@@ -379,26 +357,28 @@ class Stage2Model:
         return self.velocity(x_t, t, self.denoiser(x_t, t, cond))
 
 
-def selective_finetune_mask(model: Stage2Model) -> TrainMask:
-    """Adapter parameters plus cross-attention key/value weights, only."""
+def selective_finetune_mask(model: Stage2Model) -> tuple[str, ...]:
+    """The sorted names of the parameters stage 2 trains: the adapter's and
+    the cross-attention key/value weights, only."""
     names = []
     for name in model.params():
         if name.startswith("adapter."):
             names.append(name)
         elif ".xattn" in name and name.endswith((".k.w", ".v.w")):
             names.append(name)
-    return TrainMask(names=tuple(sorted(names)))
+    return tuple(sorted(names))
 
 
-def apply_train_mask(model: Stage2Model, mask: TrainMask) -> dict[str, Tensor]:
-    """Freeze everything outside the mask; returns the trainable subset."""
+def apply_train_mask(model: Stage2Model, mask: tuple[str, ...]) -> dict[str, Tensor]:
+    """Freeze every parameter not named in ``mask``; returns the trainable subset."""
     params = model.params()
-    unknown = [n for n in mask.names if n not in params]
+    unknown = [n for n in mask if n not in params]
     if unknown:
         raise ConfigError(f"mask names absent from model: {unknown}")
+    names = set(mask)
     trainable: dict[str, Tensor] = {}
     for name, p in params.items():
-        p.requires_grad = name in set(mask.names)
+        p.requires_grad = name in names
         if p.requires_grad:
             trainable[name] = p
     return trainable

@@ -15,11 +15,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .nn import BatchNorm, ConfigError, LayerNorm, Linear, assign_state, multi_head_attention, prefixed
+from .nn import BatchNorm, LayerNorm, Linear, assign_state, multi_head_attention, prefixed
 
 
 @dataclass
 class EncoderConfig:
+    """Autoencoder sizes; ``RunConfig.validate`` checks the run's values."""
+
     channels: int
     samples: int
     latent_tokens: int
@@ -27,18 +29,6 @@ class EncoderConfig:
     temporal_dim: int = 128
     heads: int = 8
     depth: int = 2
-
-    def validate(self) -> "EncoderConfig":
-        for name in ("channels", "samples", "latent_tokens", "latent_dim", "temporal_dim"):
-            if getattr(self, name) < 2:
-                raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")
-        if self.heads < 1 or self.depth < 1:
-            raise ConfigError("heads and depth must be >= 1")
-        if self.temporal_dim % self.heads != 0:
-            raise ConfigError(
-                f"temporal_dim {self.temporal_dim} is not divisible by heads {self.heads}"
-            )
-        return self
 
 
 class TemporalBlock:
@@ -103,8 +93,7 @@ class SignalAutoencoder:
     """Window (C, S) <-> latent sequence (T, D)."""
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):
-        cfg = config.validate()
-        self.config = cfg
+        self.config = cfg = config
         self.temporal = TemporalBlock(rng, cfg.samples, cfg.temporal_dim)
         self.spatial = [SpatialBlock(rng, cfg.temporal_dim, cfg.heads) for _ in range(cfg.depth)]
         self.enc_tokens = Linear(rng, cfg.channels, cfg.latent_tokens, bias=False)

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, as_tensor
-from .nn import ConfigError
 
 
 @dataclass
@@ -27,7 +26,8 @@ class LossWeights:
     ``recon``/``align``/``contrast`` weight the three stage-1 terms;
     ``sdsc`` scales the shape-overlap term inside the reconstruction loss;
     ``mse``/``cos`` weight the two parts of the text-alignment loss;
-    ``temperature`` is the InfoNCE temperature.
+    ``temperature`` is the InfoNCE temperature.  ``RunConfig.validate``
+    checks the run's weights.
     """
 
     recon: float = 1.0
@@ -37,14 +37,6 @@ class LossWeights:
     mse: float = 1.0
     cos: float = 1.0
     temperature: float = 0.07
-
-    def validate(self) -> "LossWeights":
-        for name in ("recon", "align", "contrast", "sdsc", "mse", "cos"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"loss weight {name!r} must be non-negative")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
-        return self
 
 
 def sdsc_loss(target, recon) -> Tensor:
@@ -99,10 +91,9 @@ def contrastive_loss(pooled, image_emb, temperature: float) -> Tensor:
     """InfoNCE over cosine similarities with positives on the diagonal.
 
     ``pooled`` and ``image_emb`` are (N, D); row i of each side is a
-    positive pair.  Uniform similarities give exactly log N.
+    positive pair.  Uniform similarities give exactly log N; ``temperature``
+    is positive.
     """
-    if temperature <= 0:
-        raise ConfigError("temperature must be positive")
     pooled, image_emb = as_tensor(pooled), as_tensor(image_emb)
     if pooled.ndim != 2 or pooled.shape != image_emb.shape:
         raise ShapeError(
@@ -183,15 +174,13 @@ def v_loss(x0, noise, t, condition, model, schedule, gamma: float = 0.5) -> Tens
 def cfg_combine(v_uncond, v_cond, scale: float) -> np.ndarray:
     """Guided velocity v_u + scale * (v_c - v_u) on plain arrays.
 
-    scale 0 and 1 return exact copies of the respective input.
+    scale 1 returns an exact copy of ``v_cond``.
     """
     v_uncond = np.asarray(v_uncond, dtype=np.float64)
     v_cond = np.asarray(v_cond, dtype=np.float64)
     if v_uncond.shape != v_cond.shape:
         raise ShapeError(f"cfg_combine shape mismatch: {v_uncond.shape} vs {v_cond.shape}")
     scale = float(scale)
-    if scale == 0.0:
-        return v_uncond.copy()
     if scale == 1.0:
         return v_cond.copy()
     return v_uncond + scale * (v_cond - v_uncond)

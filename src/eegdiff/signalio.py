@@ -280,20 +280,11 @@ def generate_dataset(
     Each class is a fixed mixture of in-band sinusoids with per-channel
     amplitudes/phases; subjects perturb it with per-channel gain and phase
     offsets; white noise is added before filtering.  Writes ``dataset.bin``
-    and ``manifest.json`` and returns the manifest dict.
+    and ``manifest.json`` and returns the manifest dict.  ``RunConfig.validate``
+    checks each argument's range; this checks what their combination allows.
     """
-    for name, dim in (("channels", channels), ("samples", samples),
-                      ("latent_tokens", latent_tokens), ("latent_dim", latent_dim)):
-        if dim < 2:
-            raise DataError(f"{name} must be >= 2, got {dim}")
-    if classes < 2:
-        raise DataError("need at least 2 classes")
     if classes > channels * 4:
         raise DataError(f"{classes} classes exceed the {channels * 4} supported by {channels} channels")
-    if per_class < 2:
-        raise DataError("need at least 2 windows per class")
-    if subjects < 1:
-        raise DataError("need at least 1 subject")
     n_val, n_test = split_sizes(per_class, val_frac, test_frac)
 
     anchor_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))

@@ -42,7 +42,11 @@ from .signalio import DataError, Dataset, load_checkpoint, load_dataset, save_ch
 
 
 class Adam:
-    """Adam with bias correction; a zero gradient leaves parameters unchanged."""
+    """Adam with bias correction; a zero gradient leaves parameters unchanged.
+
+    ``RunConfig.validate`` checks the run's ``lr_stage*`` and ``adam_*``
+    values; the optimizer takes its hyperparameters as given.
+    """
 
     def __init__(
         self,
@@ -52,12 +56,6 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if lr <= 0:
-            raise ConfigError(f"learning rate must be positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
-        if eps <= 0:
-            raise ConfigError("eps must be positive")
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.params = dict(sorted(params.items()))
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
@@ -146,17 +144,51 @@ class RunConfig:
     data_dir: str | None = None
 
     def validate(self) -> "RunConfig":
-        self.encoder_config()
-        self.denoiser_config()
-        self.loss_weights.validate()
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (batch norm and contrastive pairs)")
+        """Range-check every run value once and return ``self``.
+
+        This is the one check of a config: each command runs it before it
+        reads or writes a file, and the layer configs, ``Adam``, the loss
+        functions and the dataset generator take the values it passed as
+        given.
+        """
+        minimums = {
+            "channels": 2, "samples": 2, "latent_tokens": 2, "latent_dim": 2, "temporal_dim": 2,
+            "heads": 1, "depth": 1, "classes": 2, "subjects": 1, "seed": 0,
+            # batch norm and the contrastive pairs need two windows a batch
+            "batch_size": 2, "epochs_stage1": 1, "epochs_stage2": 1,
+            "attn_width": 1, "attn_heads": 1, "time_dim": 2, "num_samples": 2,
+        }
+        for name, least in minimums.items():
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if self.temporal_dim % self.heads:
+            raise ConfigError(f"temporal_dim {self.temporal_dim} is not divisible by heads {self.heads}")
+        if len(self.grid) != 3 or min(self.grid) < 1:
+            raise ConfigError(f"grid must be (channels, H, W), got {self.grid}")
+        if self.grid[1] % 2 or self.grid[2] % 2:
+            raise ConfigError(f"grid spatial dims must be even, got {self.grid}")
+        if len(self.widths) != 2 or min(self.widths) < 1:
+            raise ConfigError(f"widths must be two positive ints, got {self.widths}")
+        if self.time_dim % 2:
+            raise ConfigError(f"time_dim must be even, got {self.time_dim}")
+        if self.attn_width % self.attn_heads:
+            raise ConfigError(f"attn_width {self.attn_width} not divisible by attn_heads {self.attn_heads}")
+        weights = self.loss_weights
+        for name in ("recon", "align", "contrast", "sdsc", "mse", "cos"):
+            if getattr(weights, name) < 0:
+                raise ConfigError(f"loss weight {name!r} must be non-negative")
+        for name, value in (
+            ("lr_stage1", self.lr_stage1), ("lr_stage2", self.lr_stage2), ("adam_eps", self.adam_eps),
+            ("loss_weights.temperature", weights.temperature),
+        ):
+            if value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
         if not (0.0 <= self.drop_prob <= 1.0):
             raise ConfigError("drop_prob must lie in [0, 1]")
-        if self.epochs_stage1 < 1 or self.epochs_stage2 < 1:
-            raise ConfigError("epoch counts must be >= 1")
-        if self.num_samples < 2:
-            raise ConfigError("num_samples must be >= 2")
+        build_schedule(self.schedule_steps, self.beta_min, self.beta_max)
         if not (1 <= self.sample_steps <= self.schedule_steps):
             raise ConfigError(
                 f"sample_steps must lie in [1, {self.schedule_steps}], got {self.sample_steps}"
@@ -166,11 +198,7 @@ class RunConfig:
             n_val, n_test = split_sizes(self.per_class, self.val_frac, self.test_frac)
         except DataError as exc:
             raise ConfigError(str(exc)) from exc
-        for split, windows in (("validation", self.classes * n_val), ("test", self.classes * n_test)):
-            if windows < TOP_K:
-                raise ConfigError(
-                    f"the {split} split holds {windows} windows; top-{TOP_K} retrieval needs at least {TOP_K}"
-                )
+        _check_scored_splits("the", self.classes * n_val, self.classes * n_test)
         return self
 
     # -- derived views ------------------------------------------------------
@@ -184,7 +212,7 @@ class RunConfig:
             temporal_dim=self.temporal_dim,
             heads=self.heads,
             depth=self.depth,
-        ).validate()
+        )
 
     def denoiser_config(self) -> DenoiserConfig:
         return DenoiserConfig(
@@ -194,7 +222,7 @@ class RunConfig:
             attn_width=self.attn_width,
             attn_heads=self.attn_heads,
             time_dim=self.time_dim,
-        ).validate()
+        )
 
     # -- paths ---------------------------------------------------------------
 
@@ -235,6 +263,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
+        """A config from a JSON object; rejects unknown keys and mistyped
+        values, and leaves the range checks to ``validate``."""
         raw = dict(raw)
         known = {f for f in cls.__dataclass_fields__}
         unknown = sorted(set(raw) - known)
@@ -254,7 +284,7 @@ class RunConfig:
             if bad:
                 raise ConfigError(f"unknown loss_weights keys: {bad}")
             raw["loss_weights"] = LossWeights(**lw)
-        return cls(**raw).validate()
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -287,6 +317,16 @@ def _type_mismatch(value, default) -> str | None:
     if isinstance(value, str) or (default is None and value is None):
         return None
     return "a string" if isinstance(default, str) else "a string or null"
+
+
+def _check_scored_splits(whose: str, val: int, test: int) -> None:
+    """Raise ConfigError when the validation or test split, which the top-k
+    retrieval metrics score, holds fewer than ``TOP_K`` windows."""
+    for split, windows in (("validation", val), ("test", test)):
+        if windows < TOP_K:
+            raise ConfigError(
+                f"{whose} {split} split holds {windows} windows; top-{TOP_K} retrieval needs at least {TOP_K}"
+            )
 
 
 def finite_scale(scale: float) -> float:
@@ -334,12 +374,14 @@ def _checkpoint_config(cfg: RunConfig) -> dict:
 
 
 def load_data(cfg: RunConfig) -> Dataset:
-    """The run's dataset, checked against the config fields that size the models."""
+    """The run's dataset, checked against the config fields that size the
+    models and for splits large enough to score."""
     data = load_dataset(cfg.resolved_data_dir)
     for key in ("channels", "samples", "latent_tokens", "latent_dim", "classes"):
         have, want = data.meta.get(key), getattr(cfg, key)
         if have != want:
             raise ConfigError(f"dataset {key}={have} does not match config {key}={want}")
+    _check_scored_splits("the dataset's", len(data.val_idx), len(data.test_idx))
     return data
 
 
@@ -379,7 +421,6 @@ def train_stage1(cfg: RunConfig) -> dict:
     dice overlap, and label-mode top-1/top-5 retrieval against the validation
     image embeddings.
     """
-    cfg.validate()
     data = load_data(cfg)
 
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
@@ -483,7 +524,6 @@ def build_stage2_model(cfg: RunConfig, rng: np.random.Generator) -> Stage2Model:
 
 def train_stage2(cfg: RunConfig) -> dict:
     """Selective finetuning of the conditional denoiser on frozen latents."""
-    cfg.validate()
     data = load_data(cfg)
     encoder = load_stage1_model(cfg)
     train_set = stage2_training_set(cfg, data, encoder)
@@ -508,7 +548,7 @@ def train_stage2(cfg: RunConfig) -> dict:
         {
             "stage": 2,
             "epochs": cfg.epochs_stage2,
-            "mask": list(mask.names),
+            "mask": list(mask),
             "config": _checkpoint_config(cfg),
         },
     )

@@ -214,13 +214,13 @@ def test_criterion_5_selective_finetune_audit():
     after = model.params()
     frozen_names = [k for k in before if k not in mask]
     frozen_ok = all(before[k].tobytes() == after[k].data.tobytes() for k in frozen_names)
-    moved = sum(1 for k in mask.names if not np.array_equal(before[k], after[k].data))
-    ok = set(mask.names) == expected and frozen_ok and moved > 0 and len(frozen_names) > 0
+    moved = sum(1 for k in mask if not np.array_equal(before[k], after[k].data))
+    ok = set(mask) == expected and frozen_ok and moved > 0 and len(frozen_names) > 0
     report(
         5,
         ok,
         f"{len(frozen_names)} frozen params bit-identical after 50 steps, "
-        f"{moved}/{len(mask.names)} masked params updated",
+        f"{moved}/{len(mask)} masked params updated",
     )
 
 

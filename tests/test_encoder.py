@@ -12,14 +12,6 @@ TINY = EncoderConfig(channels=4, samples=16, latent_tokens=4, latent_dim=8,
                      temporal_dim=16, heads=2, depth=1)
 
 
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        EncoderConfig(channels=0, samples=16, latent_tokens=4, latent_dim=8).validate()
-    with pytest.raises(ConfigError):
-        EncoderConfig(channels=4, samples=16, latent_tokens=4, latent_dim=8,
-                      temporal_dim=15, heads=4).validate()
-
-
 def test_encode_decode_shapes(rng):
     model = SignalAutoencoder(TINY, rng)
     x = Tensor(rng.normal(size=(3, 4, 16)))

@@ -258,9 +258,6 @@ def test_windows_land_near_target_rms(tiny_cfg, tiny_data):
 
 def test_generate_dataset_validation(tmp_path):
     with pytest.raises(DataError):
-        generate_dataset(tmp_path, channels=4, samples=16, latent_tokens=4, latent_dim=8,
-                         classes=1, per_class=4, subjects=1, seed=0)
-    with pytest.raises(DataError):
         generate_dataset(tmp_path, channels=2, samples=16, latent_tokens=4, latent_dim=8,
                          classes=9, per_class=4, subjects=1, seed=0)
 

@@ -15,10 +15,9 @@ from conftest import tiny_config
 from eegdiff import cli, signalio, training
 from eegdiff.autodiff import NonFiniteError, Tensor
 from eegdiff.cli import main
-from eegdiff.losses import LossWeights
 from eegdiff.nn import ConfigError
 from eegdiff.signalio import read_container, write_container
-from eegdiff.training import Adam, RunConfig, format_float, write_csv
+from eegdiff.training import DATASET_FIELDS, Adam, RunConfig, format_float, write_csv
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -55,15 +54,6 @@ def test_adam_descends_quadratic():
         params["w"].grad = 2.0 * params["w"].data
         opt.step()
     assert abs(params["w"].data[0]) < 0.1
-
-
-def test_adam_validation():
-    with pytest.raises(ConfigError):
-        Adam(make_params(), lr=0.0)
-    with pytest.raises(ConfigError):
-        Adam(make_params(), lr=0.1, beta1=1.0)
-    with pytest.raises(ConfigError):
-        Adam(make_params(), lr=0.1, eps=0.0)
 
 
 # -- run config --------------------------------------------------------------------
@@ -124,10 +114,18 @@ def test_config_validate_errors(tmp_path):
         {"val_frac": 1.5},
         {"classes": 2, "per_class": 6},  # a 2-window validation split
         {"test_frac": 0.0},  # an empty test split
+        {"lr_stage1": 0.0},
+        {"adam_beta1": 1.0},
+        {"adam_eps": 0.0},
+        {"channels": 0},
+        {"loss_weights": {"temperature": 0.0}},
+        {"loss_weights": {"recon": -1.0}},
+        {"time_dim": 7},
+        {"classes": 1, "per_class": 36},  # one class, still 6 validation windows
     ):
         raw = dict(base, **patch)
         with pytest.raises(ConfigError):
-            RunConfig.from_dict(raw)
+            RunConfig.from_dict(raw).validate()
 
 
 def test_config_json_round_trip(tmp_path):
@@ -249,6 +247,44 @@ def test_gen_data_rejects_a_split_too_small_to_score(tmp_path, capsys):
     config = write_config(tmp_path / "config.json", tiny_config(str(tmp_path / "run")), classes=2, per_class=6)
     assert main(["gen-data", *config]) == 1
     assert_one_error_line(capsys)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, changes",
+    [
+        (["--seed", "-1"], {}),
+        ([], {"seed": -3}),
+        ([], {"attn_heads": 0}),
+        ([], {"attn_heads": -2}),
+        ([], {"time_dim": 0}),
+        ([], {"attn_width": 0}),
+        ([], {"beta_max": 1.5}),
+        ([], {"schedule_steps": 1, "sample_steps": 1}),
+        ([], {"lr_stage2": -1.0}),
+        ([], {"adam_beta2": 1.0}),
+    ],
+    ids=["flag-seed", "seed", "attn_heads-0", "attn_heads-neg", "time_dim", "attn_width",
+         "beta_max", "schedule_steps", "lr_stage2", "adam_beta2"],
+)
+def test_gen_data_checks_every_run_value(tmp_path, flags, changes, capsys):
+    # values that only stage 2 reads are rejected before the first command writes
+    config = write_config(tmp_path / "config.json", tiny_config(str(tmp_path / "run")), **changes)
+    assert main(["gen-data", *config, *flags]) == 1
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "run" / "data" / "dataset.bin").exists()
+
+
+def test_train_rejects_a_dataset_split_too_small_to_score(tmp_path, capsys):
+    small = tiny_config().to_dict() | {"classes": 2, "per_class": 6}  # 2 validation windows
+    signalio.generate_dataset(tmp_path / "data", **{name: small[name] for name in DATASET_FIELDS})
+    config = write_config(
+        tmp_path / "config.json", tiny_config(str(tmp_path / "run")),
+        classes=2, per_class=18, data_dir=str(tmp_path / "data"),
+    )
+    assert main(["train-stage1", *config]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the dataset's validation split holds 2 windows; top-5 retrieval needs at least 5\n", err
     assert not (tmp_path / "run").exists()
 
 
