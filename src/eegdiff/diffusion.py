@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, as_tensor
 from .encoder import mean_pool_latent
 from .losses import cfg_combine, v_loss
-from .nn import ConfigError, LayerNorm, Linear, assign_state, glorot_uniform, multi_head_attention, prefixed
+from .nn import ConfigError, LayerNorm, Linear, Module, glorot_uniform, multi_head_attention
 
 ADAPTER_TOKENS = 4
 TIMESTEP_MAX_PERIOD = 10000.0
@@ -74,7 +74,7 @@ def build_schedule(steps: int, beta_min: float = 1e-4, beta_max: float = 0.02) -
 # -- condition adapter -------------------------------------------------------
 
 
-class ConditionAdapter:
+class ConditionAdapter(Module):
     """Pooled latents (B, D) -> 4 condition tokens each (B, 4, D).
 
     Dense expansion to 4 tokens, per-token layer norm, dense output map.
@@ -99,14 +99,6 @@ class ConditionAdapter:
         b = pooled.shape[0]
         h = self.fc_in(pooled).reshape(b, ADAPTER_TOKENS, self.latent_dim)
         return self.fc_out(self.norm(h))
-
-    def params(self) -> dict[str, Tensor]:
-        return (
-            prefixed("fc_in", self.fc_in.params())
-            | prefixed("norm", self.norm.params())
-            | prefixed("fc_out", self.fc_out.params())
-            | {"null_cond": self.null_cond}
-        )
 
 
 def build_condition(latent, adapted) -> Tensor:
@@ -135,7 +127,7 @@ def timestep_embedding(t, dim: int) -> np.ndarray:
     return np.concatenate([np.cos(args), np.sin(args)], axis=-1)
 
 
-class Conv3x3:
+class Conv3x3(Module):
     """3x3 same-padding convolution: one ``ad.conv3x3`` node.
 
     ``w`` is (9*c_in, c_out) with rows ordered (dy, dx, c), the column order
@@ -150,9 +142,6 @@ class Conv3x3:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv3x3(x, self.w, self.b)
 
-    def params(self) -> dict[str, Tensor]:
-        return {"w": self.w, "b": self.b}
-
 
 def avg_pool2(x: Tensor) -> Tensor:
     b, c, h, w = x.shape
@@ -161,7 +150,7 @@ def avg_pool2(x: Tensor) -> Tensor:
     return ad.mean(x.reshape(b, c, h // 2, 2, w // 2, 2), axis=(3, 5))
 
 
-class CrossAttention:
+class CrossAttention(Module):
     """Attend from spatial positions to condition tokens; residual output."""
 
     def __init__(self, rng: np.random.Generator, channels: int, cond_dim: int, width: int, heads: int):
@@ -179,15 +168,6 @@ class CrossAttention:
         y = ad.add(tokens, self.out(merged))
         return y.reshape(b, h, w, c).transpose(0, 3, 1, 2)
 
-    def params(self) -> dict[str, Tensor]:
-        return (
-            prefixed("norm", self.norm.params())
-            | prefixed("q", self.q.params())
-            | prefixed("k", self.k.params())
-            | prefixed("v", self.v.params())
-            | prefixed("out", self.out.params())
-        )
-
 
 @dataclass
 class DenoiserConfig:
@@ -201,7 +181,7 @@ class DenoiserConfig:
     time_dim: int = 64
 
 
-class Denoiser:
+class Denoiser(Module):
     """Two-level convolutional velocity predictor with cross-attention.
 
     The forward pass is ``branch(trunk(x_t, t), cond)``: a condition-free
@@ -209,6 +189,11 @@ class Denoiser:
     guided sampler runs the trunk once per step and the branch once per
     condition.
     """
+
+    NAMES = {
+        "conv_in": "in", "conv_out": "out",
+        "time_fc1": "time.fc1", "time_fc2": "time.fc2", "time_proj1": "time.proj1", "time_proj2": "time.proj2",
+    }
 
     def __init__(self, config: DenoiserConfig, rng: np.random.Generator):
         self.config = cfg = config
@@ -274,28 +259,11 @@ class Denoiser:
     def __call__(self, x_t, t, cond) -> Tensor:
         return self.branch(self.trunk(x_t, t), cond)
 
-    def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out |= prefixed("time.fc1", self.time_fc1.params())
-        out |= prefixed("time.fc2", self.time_fc2.params())
-        out |= prefixed("time.proj1", self.time_proj1.params())
-        out |= prefixed("time.proj2", self.time_proj2.params())
-        out |= prefixed("in", self.conv_in.params())
-        out |= prefixed("enc1", self.enc1.params())
-        out |= prefixed("xattn1", self.xattn1.params())
-        out |= prefixed("down", self.down.params())
-        out |= prefixed("mid", self.mid.params())
-        out |= prefixed("xattn2", self.xattn2.params())
-        out |= prefixed("up", self.up.params())
-        out |= prefixed("dec1", self.dec1.params())
-        out |= prefixed("out", self.conv_out.params())
-        return out
-
 
 # -- stage-2 model, selective finetuning, training step ----------------------
 
 
-class Stage2Model:
+class Stage2Model(Module):
     """Denoiser plus condition adapter with a shared parameter namespace.
 
     The velocity head is preconditioned with fixed functions of the noise
@@ -310,6 +278,8 @@ class Stage2Model:
     head, the training targets of :func:`stage2_train_step` and the
     timesteps of :func:`sample`.
     """
+
+    NAMES = {"denoiser": "unet"}
 
     def __init__(
         self,
@@ -326,15 +296,6 @@ class Stage2Model:
         self.schedule = schedule
         self.adapter = ConditionAdapter(rng, latent_dim, latent_tokens)
         self.denoiser = Denoiser(denoiser_config, rng)
-
-    def params(self) -> dict[str, Tensor]:
-        return prefixed("adapter", self.adapter.params()) | prefixed("unet", self.denoiser.params())
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.params().items()}
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        assign_state(self.params(), state)
 
     def condition(self, latents) -> Tensor:
         """The condition of latent tokens (B, T, D): the tokens, then the

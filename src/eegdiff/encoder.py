@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .nn import BatchNorm, LayerNorm, Linear, assign_state, multi_head_attention, prefixed
+from .nn import BatchNorm, LayerNorm, Linear, Module, multi_head_attention
 
 
 @dataclass
@@ -31,7 +31,7 @@ class EncoderConfig:
     depth: int = 2
 
 
-class TemporalBlock:
+class TemporalBlock(Module):
     """Shared per-channel map samples -> temporal_dim with a residual path.
 
     Applies dense projection, batch norm over all (batch, channel) rows,
@@ -52,17 +52,8 @@ class TemporalBlock:
         skip = flat if self.shortcut is None else self.shortcut(flat)
         return ad.add(h, skip).reshape(b, c, -1)
 
-    def params(self) -> dict[str, Tensor]:
-        out = prefixed("proj", self.proj.params()) | prefixed("bn", self.bn.params())
-        if self.shortcut is not None:
-            out |= prefixed("shortcut", self.shortcut.params())
-        return out
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return prefixed("bn", self.bn.buffers())
-
-
-class SpatialBlock:
+class SpatialBlock(Module):
     """Multi-head self-attention across channels with post-norm residual."""
 
     def __init__(self, rng: np.random.Generator, width: int, heads: int):
@@ -79,17 +70,8 @@ class SpatialBlock:
         merged = multi_head_attention(self.q(x), self.k(x), self.v(x), self.heads)
         return self.norm(ad.add(x, self.out(merged)))
 
-    def params(self) -> dict[str, Tensor]:
-        return (
-            prefixed("q", self.q.params())
-            | prefixed("k", self.k.params())
-            | prefixed("v", self.v.params())
-            | prefixed("out", self.out.params())
-            | prefixed("norm", self.norm.params())
-        )
 
-
-class SignalAutoencoder:
+class SignalAutoencoder(Module):
     """Window (C, S) <-> latent sequence (T, D)."""
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):
@@ -101,8 +83,6 @@ class SignalAutoencoder:
         self.dec_feat = Linear(rng, cfg.latent_dim, cfg.temporal_dim)
         self.dec_tokens = Linear(rng, cfg.latent_tokens, cfg.channels, bias=False)
         self.dec_head = Linear(rng, cfg.temporal_dim, cfg.samples)
-
-    # -- forward -----------------------------------------------------------
 
     def encode_batch(self, x, training: bool = False) -> Tensor:
         x = ad.as_tensor(x)
@@ -125,36 +105,6 @@ class SignalAutoencoder:
         h = self.dec_feat(z)  # (B, T, temporal_dim)
         mixed = self.dec_tokens(h.transpose(0, 2, 1))  # (B, temporal_dim, C)
         return self.dec_head(mixed.transpose(0, 2, 1))  # (B, C, S)
-
-    # -- state -------------------------------------------------------------
-
-    def params(self) -> dict[str, Tensor]:
-        out = prefixed("temporal", self.temporal.params())
-        for i, block in enumerate(self.spatial):
-            out |= prefixed(f"spatial{i}", block.params())
-        out |= prefixed("enc_tokens", self.enc_tokens.params())
-        out |= prefixed("enc_feat", self.enc_feat.params())
-        out |= prefixed("dec_feat", self.dec_feat.params())
-        out |= prefixed("dec_tokens", self.dec_tokens.params())
-        out |= prefixed("dec_head", self.dec_head.params())
-        return out
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return prefixed("temporal", self.temporal.buffers())
-
-    def state(self) -> dict[str, np.ndarray]:
-        state = {name: p.data.copy() for name, p in self.params().items()}
-        state |= {name: b.copy() for name, b in self.buffers().items()}
-        return state
-
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        assign_state(self.params(), state, self.buffers())
-        self.temporal.bn.load_buffers(
-            {
-                "running_mean": state["temporal.bn.running_mean"],
-                "running_var": state["temporal.bn.running_var"],
-            }
-        )
 
 
 def mean_pool_latent(latent) -> Tensor:

@@ -1,8 +1,8 @@
 """Small trainable layers and multi-head attention on the autodiff engine.
 
-Modules expose ``params()`` returning ``{name: Tensor}`` and, where they keep
-non-trainable state, ``buffers()`` returning ``{name: ndarray}``.  Parents
-namespace children with dotted prefixes via :func:`prefixed`.
+Every layer subclasses :class:`Module`, which names its parameters and
+buffers from its attributes, so each checkpoint record name is decided in
+one place.
 """
 
 from __future__ import annotations
@@ -21,8 +21,68 @@ class ConfigError(ValueError):
     """Invalid model or run configuration."""
 
 
-def prefixed(prefix: str, entries: dict) -> dict:
-    return {f"{prefix}.{name}": value for name, value in entries.items()}
+class Module:
+    """Base of every layer: derives record names from the attributes.
+
+    Walking ``vars(self)`` in assignment order, a ``Tensor`` attribute is a
+    parameter, an ``ndarray`` attribute a buffer, a ``Module`` attribute a
+    child whose names get the attribute name and a dot as prefix, and a list
+    of modules one child per item, named with its index (``spatial0``).
+    Anything else (``None``, ints, configs, the noise schedule) is not state.
+    ``NAMES`` maps the attributes whose record name is not a Python name.
+    """
+
+    NAMES: dict[str, str] = {}
+
+    def _walk(self, prefix: str = ""):
+        """(record name, value) of each parameter and buffer."""
+        for attr, value in vars(self).items():
+            name = prefix + self.NAMES.get(attr, attr)
+            if isinstance(value, (Tensor, np.ndarray)):
+                yield name, value
+            elif isinstance(value, Module):
+                yield from value._walk(name + ".")
+            elif isinstance(value, list):
+                for i, child in enumerate(value):
+                    if isinstance(child, Module):
+                        yield from child._walk(f"{name}{i}.")
+
+    def params(self) -> dict[str, Tensor]:
+        return {name: value for name, value in self._walk() if isinstance(value, Tensor)}
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        return {name: value for name, value in self._walk() if isinstance(value, np.ndarray)}
+
+    def state(self) -> dict[str, np.ndarray]:
+        """A copy of every parameter and buffer by record name."""
+        return {name: _array(value).copy() for name, value in self._walk()}
+
+    def load_state(self, state: dict[str, np.ndarray]) -> None:
+        """Copy arrays into the parameters and buffers by name.
+
+        ``state`` must hold exactly this module's names: a missing or extra
+        name, as from a checkpoint written under another config, raises
+        :class:`ConfigError` listing both, and a value of the wrong shape
+        raises :class:`ShapeError`.  Nothing is assigned unless all fit.
+        """
+        entries = dict(self._walk())
+        missing, unexpected = sorted(set(entries) - set(state)), sorted(set(state) - set(entries))
+        if missing or unexpected:
+            raise ConfigError(
+                f"state does not match the model (saved under another config?): "
+                f"missing {missing}, unexpected {unexpected}"
+            )
+        for name, value in entries.items():
+            if np.shape(state[name]) != value.shape:
+                kind = "parameter" if isinstance(value, Tensor) else "buffer"
+                raise ShapeError(f"{kind} {name!r} has shape {value.shape}, state provides {np.shape(state[name])}")
+        for name, value in entries.items():
+            _array(value)[...] = state[name]
+
+
+def _array(value) -> np.ndarray:
+    """The array of a parameter (a ``Tensor``) or of a buffer (an ``ndarray``)."""
+    return value.data if isinstance(value, Tensor) else value
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -30,7 +90,7 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Linear:
+class Linear(Module):
     """Dense map over the last axis: y = x @ w (+ b)."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, bias: bool = True):
@@ -39,12 +99,6 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w, self.b)
-
-    def params(self) -> dict[str, Tensor]:
-        out = {"w": self.w}
-        if self.b is not None:
-            out["b"] = self.b
-        return out
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -65,7 +119,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     return att.transpose(0, 2, 1, 3).reshape(b, n, width)
 
 
-class LayerNorm:
+class LayerNorm(Module):
     """Row standardization over the last axis with learned gain and bias."""
 
     def __init__(self, width: int):
@@ -75,11 +129,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return ad.add(ad.mul(ad.standardize(x, -1, LAYER_NORM_EPS), self.gain), self.bias)
 
-    def params(self) -> dict[str, Tensor]:
-        return {"gain": self.gain, "bias": self.bias}
 
-
-class BatchNorm:
+class BatchNorm(Module):
     """Feature-wise normalization over axis 0 with running statistics.
 
     Training mode standardizes with batch statistics and updates running
@@ -109,36 +160,3 @@ class BatchNorm:
             normed = ad.mul(ad.sub(x, Tensor(self.running_mean)), Tensor(scale))
         return ad.add(ad.mul(normed, self.gain), self.bias)
 
-    def params(self) -> dict[str, Tensor]:
-        return {"gain": self.gain, "bias": self.bias}
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-    def load_buffers(self, entries: dict[str, np.ndarray]) -> None:
-        self.running_mean = np.array(entries["running_mean"], dtype=np.float64)
-        self.running_var = np.array(entries["running_var"], dtype=np.float64)
-
-
-def assign_state(params: dict[str, Tensor], state: dict[str, np.ndarray], buffers=()) -> None:
-    """Copy arrays into parameter tensors by name, validating names and shapes.
-
-    ``state`` must hold exactly the names in ``params`` plus ``buffers`` (the
-    non-trainable entries the caller loads itself).  A missing or extra name,
-    as from a checkpoint written under another config, raises
-    :class:`ConfigError` listing both.
-    """
-    expected = set(params) | set(buffers)
-    missing, unexpected = sorted(expected - set(state)), sorted(set(state) - expected)
-    if missing or unexpected:
-        raise ConfigError(
-            f"state does not match the model (saved under another config?): "
-            f"missing {missing}, unexpected {unexpected}"
-        )
-    for name, tensor in params.items():
-        value = np.asarray(state[name], dtype=np.float64)
-        if value.shape != tensor.data.shape:
-            raise ShapeError(
-                f"parameter {name!r} has shape {tensor.data.shape}, state provides {value.shape}"
-            )
-        tensor.data = value.copy()

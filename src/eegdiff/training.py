@@ -186,6 +186,10 @@ class RunConfig:
         for name in ("adam_beta1", "adam_beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not (0.0 < self.low < self.high < self.fs / 2.0):
+            raise ConfigError(
+                f"band edges must satisfy 0 < low < high < fs/2, got ({self.low}, {self.high}) at fs={self.fs}"
+            )
         if not (0.0 <= self.drop_prob <= 1.0):
             raise ConfigError("drop_prob must lie in [0, 1]")
         build_schedule(self.schedule_steps, self.beta_min, self.beta_max)
@@ -476,13 +480,40 @@ def evaluate_stage1(model: SignalAutoencoder, data: Dataset, weights: LossWeight
     return {"mse": mse, "dice": float(np.mean(dice_values)), "top1": top1, "top5": top5}
 
 
-def load_stage1_model(cfg: RunConfig) -> SignalAutoencoder:
-    state, meta = load_checkpoint(cfg.stage1_checkpoint)
-    if meta.get("stage") != 1:
-        raise ConfigError(f"{cfg.stage1_checkpoint} is not a stage-1 checkpoint")
-    model = SignalAutoencoder(cfg.encoder_config(), np.random.default_rng(0))
+# The config fields that shape each stage's model (or, for stage 2, its
+# noise schedule): a checkpoint loads only under the values it was trained at.
+MODEL_FIELDS = {
+    1: ("channels", "samples", "latent_tokens", "latent_dim", "temporal_dim", "heads", "depth"),
+    2: ("grid", "widths", "attn_width", "attn_heads", "time_dim", "schedule_steps", "beta_min", "beta_max"),
+}
+
+
+def _load_checkpoint_into(model, cfg: RunConfig, stage: int):
+    """``model`` with the state of the run's stage-``stage`` checkpoint.
+
+    Refuses a checkpoint of the other stage, one whose records do not fit
+    ``model`` (``Module.load_state``), and one trained under other values of
+    the stage's ``MODEL_FIELDS``, naming each field that differs.
+    """
+    path = cfg.stage1_checkpoint if stage == 1 else cfg.stage2_checkpoint
+    state, meta = load_checkpoint(path)
+    if meta.get("stage") != stage:
+        raise ConfigError(f"{path} is not a stage-{stage} checkpoint")
     model.load_state(state)
+    saved, want = meta.get("config"), _checkpoint_config(cfg)
+    saved = saved if isinstance(saved, dict) else {}
+    differ = [
+        f"{key} {saved[key]!r} (config {want[key]!r})" if key in saved else f"{key} missing (config {want[key]!r})"
+        for key in MODEL_FIELDS[stage]
+        if saved.get(key) != want[key]
+    ]
+    if differ:
+        raise ConfigError(f"{path} was trained under other config values: {', '.join(differ)}")
     return model
+
+
+def load_stage1_model(cfg: RunConfig) -> SignalAutoencoder:
+    return _load_checkpoint_into(SignalAutoencoder(cfg.encoder_config(), np.random.default_rng(0)), cfg, 1)
 
 
 def stage2_training_set(cfg: RunConfig, data: Dataset, encoder: SignalAutoencoder):
@@ -556,12 +587,7 @@ def train_stage2(cfg: RunConfig) -> dict:
 
 
 def load_stage2_model(cfg: RunConfig) -> Stage2Model:
-    state, meta = load_checkpoint(cfg.stage2_checkpoint)
-    if meta.get("stage") != 2:
-        raise ConfigError(f"{cfg.stage2_checkpoint} is not a stage-2 checkpoint")
-    model = build_stage2_model(cfg, np.random.default_rng(0))
-    model.load_state(state)
-    return model
+    return _load_checkpoint_into(build_stage2_model(cfg, np.random.default_rng(0)), cfg, 2)
 
 
 # -- gradient audit suite ------------------------------------------------------

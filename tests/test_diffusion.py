@@ -25,7 +25,7 @@ from eegdiff.diffusion import (
 )
 from eegdiff.losses import cfg_combine
 from eegdiff.nn import ConfigError
-from eegdiff.training import Adam
+from eegdiff.training import Adam, RunConfig, build_stage2_model
 
 TINY = DenoiserConfig(cond_dim=8, grid=(2, 4, 4), widths=(4, 8), attn_width=4,
                       attn_heads=2, time_dim=8)
@@ -275,6 +275,37 @@ def test_load_state_rejects_foreign_names():
     state["unet.extra.w"] = state.pop("unet.mid.w")
     with pytest.raises(ConfigError, match=r"missing \['unet\.mid\.w'\], unexpected \['unet\.extra\.w'\]"):
         tiny_model().load_state(state)
+
+
+def test_checkpoint_record_names_and_shapes():
+    # the stage-2 checkpoint format at the tiny config
+    def attn(c):  # a cross-attention block over c channels
+        return {"norm.gain": (c,), "norm.bias": (c,), "q.w": (c, 4), "k.w": (8, 4), "v.w": (8, 4),
+                "out.w": (4, c), "out.b": (c,)}
+
+    expected = {
+        "adapter.fc_in.w": (8, 32), "adapter.fc_in.b": (32,), "adapter.norm.gain": (8,), "adapter.norm.bias": (8,),
+        "adapter.fc_out.w": (8, 8), "adapter.fc_out.b": (8,), "adapter.null_cond": (8, 8),
+        "unet.time.fc1.w": (8, 8), "unet.time.fc1.b": (8,), "unet.time.fc2.w": (8, 8), "unet.time.fc2.b": (8,),
+        "unet.time.proj1.w": (8, 4), "unet.time.proj1.b": (4,), "unet.time.proj2.w": (8, 8), "unet.time.proj2.b": (8,),
+        "unet.in.w": (18, 4), "unet.in.b": (4,), "unet.enc1.w": (36, 4), "unet.enc1.b": (4,),
+        **{f"unet.xattn1.{name}": shape for name, shape in attn(4).items()},
+        "unet.down.w": (36, 8), "unet.down.b": (8,), "unet.mid.w": (72, 8), "unet.mid.b": (8,),
+        **{f"unet.xattn2.{name}": shape for name, shape in attn(8).items()},
+        "unet.up.w": (72, 4), "unet.up.b": (4,), "unet.dec1.w": (36, 4), "unet.dec1.b": (4,),
+        "unet.out.w": (36, 2), "unet.out.b": (2,),
+    }
+    state = tiny_model().state()
+    assert sorted((name, value.shape) for name, value in state.items()) == sorted(expected.items())
+
+
+def test_default_finetune_mask():
+    model = build_stage2_model(RunConfig(), np.random.default_rng(0))
+    assert selective_finetune_mask(model) == (
+        "adapter.fc_in.b", "adapter.fc_in.w", "adapter.fc_out.b", "adapter.fc_out.w",
+        "adapter.norm.bias", "adapter.norm.gain", "adapter.null_cond",
+        "unet.xattn1.k.w", "unet.xattn1.v.w", "unet.xattn2.k.w", "unet.xattn2.v.w",
+    )
 
 
 def test_class_target_latents_unit_rms():

@@ -1,10 +1,11 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eegdiff import autodiff as ad
-from eegdiff.autodiff import Tensor
+from eegdiff.autodiff import ShapeError, Tensor
 from eegdiff.encoder import EncoderConfig, SignalAutoencoder, SpatialBlock, mean_pool_latent
 from eegdiff.nn import ConfigError
 
@@ -76,6 +77,37 @@ def test_load_state_unexpected_key(rng):
     clone = SignalAutoencoder(TINY, np.random.default_rng(0))
     with pytest.raises(ConfigError, match=re.escape("unexpected ['spatial9.q.w']")):
         clone.load_state(state)
+
+
+def test_load_state_wrong_buffer_shape(rng):
+    state = SignalAutoencoder(TINY, rng).state() | {"temporal.bn.running_var": np.ones(3)}
+    clone = SignalAutoencoder(TINY, np.random.default_rng(0))
+    before = clone.state()
+    message = "buffer 'temporal.bn.running_var' has shape (16,), state provides (3,)"
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        clone.load_state(state)
+    # nothing is assigned when one record does not fit
+    after = clone.state()
+    for name in before:
+        np.testing.assert_array_equal(before[name], after[name], err_msg=name)
+
+
+def test_checkpoint_record_names_and_shapes(rng):
+    # the stage-1 checkpoint format; samples == temporal_dim, so no shortcut
+    state = SignalAutoencoder(replace(TINY, depth=2), rng).state()
+    block = {"q.w": (16, 16), "q.b": (16,), "k.w": (16, 16), "k.b": (16,), "v.w": (16, 16), "v.b": (16,),
+             "out.w": (16, 16), "out.b": (16,), "norm.gain": (16,), "norm.bias": (16,)}
+    expected = {
+        "temporal.proj.w": (16, 16), "temporal.proj.b": (16,),
+        "temporal.bn.gain": (16,), "temporal.bn.bias": (16,),
+        "temporal.bn.running_mean": (16,), "temporal.bn.running_var": (16,),
+        **{f"spatial0.{name}": shape for name, shape in block.items()},
+        **{f"spatial1.{name}": shape for name, shape in block.items()},
+        "enc_tokens.w": (4, 4), "enc_feat.w": (16, 8), "enc_feat.b": (8,),
+        "dec_feat.w": (8, 16), "dec_feat.b": (16,), "dec_tokens.w": (4, 4),
+        "dec_head.w": (16, 16), "dec_head.b": (16,),
+    }
+    assert sorted((name, value.shape) for name, value in state.items()) == sorted(expected.items())
 
 
 def test_mean_pool_latent(rng):

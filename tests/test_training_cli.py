@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import warnings
 import weakref
 from dataclasses import replace
@@ -122,6 +123,8 @@ def test_config_validate_errors(tmp_path):
         {"loss_weights": {"recon": -1.0}},
         {"time_dim": 7},
         {"classes": 1, "per_class": 36},  # one class, still 6 validation windows
+        {"fs": 0},
+        {"low": 60.0, "high": 50.0},
     ):
         raw = dict(base, **patch)
         with pytest.raises(ConfigError):
@@ -514,6 +517,61 @@ def test_checkpoint_config_mismatch_exits_1(ws, deep_run, direction, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{direction} ['spatial1." in err
     assert not (Path(deep_run.changes["out_dir"]) / "eval" / "retrieval.csv").exists()
+
+
+def test_checkpoint_with_a_wrong_buffer_shape_exits_1(ws, tmp_path, capsys):
+    arrays, meta = read_container(ws.cfg.stage1_checkpoint)
+    arrays["temporal.bn.running_var"] = np.ones(3)
+    argv = write_config(tmp_path / "config.json", ws.cfg, out_dir=str(tmp_path),
+                        data_dir=str(ws.cfg.resolved_data_dir))
+    write_container(tmp_path / "stage1" / "autoencoder.bin", arrays, meta)
+    capsys.readouterr()
+    assert main(["eval-retrieval", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: buffer 'temporal.bn.running_var' has shape (16,), state provides (3,)\n", err
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize(
+    "command, changes, checkpoint, differs",
+    [
+        (["eval-retrieval"], {"heads": 4}, "stage1_checkpoint", "heads 2 (config 4)"),
+        (["sample"], {"beta_max": 0.02}, "stage2_checkpoint", "beta_max 0.004 (config 0.02)"),
+        (["sample"], {"schedule_steps": 20, "attn_heads": 4}, "stage2_checkpoint",
+         "attn_heads 2 (config 4), schedule_steps 10 (config 20)"),
+    ],
+    ids=["heads", "beta_max", "two-fields"],
+)
+def test_checkpoint_trained_under_other_config_exits_1(ws, tmp_path, command, changes, checkpoint, differs, capsys):
+    # same record names and shapes, other model-shaping values
+    argv = write_config(tmp_path / "config.json", ws.cfg, **changes)
+    outputs = sorted(Path(ws.cfg.out_dir).rglob("*"))
+    capsys.readouterr()
+    assert main([*command, *argv]) == 1
+    err = capsys.readouterr().err
+    path = getattr(ws.cfg, checkpoint)
+    assert err == f"error: {path} was trained under other config values: {differs}\n", err
+    assert sorted(Path(ws.cfg.out_dir).rglob("*")) == outputs
+
+
+def test_checkpoint_without_config_names_every_field(ws, tmp_path):
+    arrays, meta = read_container(ws.cfg.stage1_checkpoint)
+    del meta["config"]
+    write_container(tmp_path / "stage1" / "autoencoder.bin", arrays, meta)
+    missing = ", ".join(f"{key} missing (config {getattr(ws.cfg, key)!r})" for key in training.MODEL_FIELDS[1])
+    with pytest.raises(ConfigError, match=re.escape(f"was trained under other config values: {missing}")):
+        training.load_stage1_model(replace(ws.cfg, out_dir=str(tmp_path)))
+
+
+def test_gen_data_checks_band_edges_before_generating(tmp_path, capsys):
+    argv = write_config(tmp_path / "config.json", tiny_config(str(tmp_path)), fs=0.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["gen-data", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: band edges must satisfy 0 < low < high < fs/2, got (5.0, 95.0) at fs=0.0\n", err
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "data").exists()
 
 
 def test_gen_data_deterministic_and_seed_sensitive(ws, tmp_path):
