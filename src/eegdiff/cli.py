@@ -26,14 +26,15 @@ from .evaluate import (
     topk_retrieval,
 )
 from .nn import ConfigError
-from .signalio import ContainerError, DataError, generate_dataset, integers_below, read_container, write_container
+from .signalio import (
+    ContainerError, DataError, format_float, generate_dataset, integers_below, read_container, write_container, write_csv,
+)
 from .training import (
     DATASET_FIELDS,
     TOP_K,
     RunConfig,
     encode_windows,
     finite_scale,
-    format_float,
     generation_conditions,
     gradient_suite,
     load_data,
@@ -42,7 +43,6 @@ from .training import (
     stage2_training_set,
     train_stage1,
     train_stage2,
-    write_csv,
 )
 
 GRAD_TOLERANCE = 1e-4
@@ -155,12 +155,7 @@ def _load_samples(cfg: RunConfig, scale: float):
     path = cfg.samples_path(scale)
     if not path.exists():
         raise DataError(f"no samples at {path}; run `sample --scale {format_float(scale)}` first")
-    records, meta = read_container(path)
-    if meta.get("kind") != "samples":
-        raise DataError(f"{path} is not a samples container")
-    missing = [name for name in ("samples", "labels") if name not in records]
-    if missing:
-        raise DataError(f"{path} lacks records: {missing}")
+    records, _ = read_container(path, kind="samples", records=("samples", "labels"))
     samples, labels = records["samples"], records["labels"]
     if samples.ndim == 0 or labels.shape != samples.shape[:1]:
         raise DataError(f"{path} holds {samples.shape} samples but {labels.shape} labels")
@@ -196,6 +191,8 @@ def cmd_cfg_sweep(args) -> int:
         raise ConfigError("--scales must name at least one scale")
     steps = cfg.sample_steps if args.steps is None else int(args.steps)
     num = cfg.num_samples if args.num is None else int(args.num)
+    if num < 2:
+        raise ConfigError(f"cfg-sweep needs at least 2 samples per scale to fit their covariance, got {num}")
     data, encoder, model = load_data(cfg), load_stage1_model(cfg), load_stage2_model(cfg)
     real = _real_population(cfg, data, encoder)
     rows = []

@@ -401,7 +401,7 @@ def sample(
     model: Stage2Model,
     cond_latents,
     scale: float,
-    steps: int | None = None,
+    steps: int,
     seed: int = 0,
 ) -> np.ndarray:
     """Deterministic guided sampling from pure noise.
@@ -418,10 +418,9 @@ def sample(
     if cond_latents.ndim != 3:
         raise ShapeError(f"cond_latents must be (batch, T, D), got {cond_latents.shape}")
     total = schedule.steps
-    n = total if steps is None else int(steps)
-    if not (1 <= n <= total):
+    if not (1 <= steps <= total):
         raise ConfigError(f"steps must be in [1, {total}], got {steps}")
-    ts = np.round(np.linspace(0, total - 1, n)).astype(int)[::-1]
+    ts = np.round(np.linspace(0, total - 1, steps)).astype(int)[::-1]
 
     b = cond_latents.shape[0]
     grid = model.denoiser.config.grid

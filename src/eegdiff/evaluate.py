@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .signalio import write_csv
+
 EPS = 1e-12
 
 
@@ -168,13 +170,6 @@ def export_embeddings(embeddings, labels, path) -> Path:
     labels = np.asarray(labels)
     if embeddings.ndim != 2 or len(labels) != len(embeddings):
         raise EvalError("export needs (N, D) embeddings and N labels")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    d = embeddings.shape[1]
-    header = "id,label," + ",".join(f"e{j}" for j in range(d))
-    lines = [header]
-    for i, (row, label) in enumerate(zip(embeddings, labels)):
-        values = ",".join(f"{v:.17g}" for v in row)
-        lines.append(f"{i},{int(label)},{values}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    header = ["id", "label"] + [f"e{j}" for j in range(embeddings.shape[1])]
+    rows = [[i, int(label)] + [f"{v:.17g}" for v in row] for i, (row, label) in enumerate(zip(embeddings, labels))]
+    return write_csv(path, header, rows)

@@ -1,8 +1,11 @@
-"""Dataset synthesis, preprocessing, and binary container I/O.
+"""Dataset synthesis, preprocessing, and the artifact layer.
 
-The on-disk container is a little-endian binary file: magic ``SYNP``, a u16
-format version, a JSON metadata blob, then named float64 records.  Both
-datasets and model checkpoints use it.  All generation is driven by
+Every file the pipeline writes goes through :func:`write_file`, which fills a
+sibling ``.tmp`` file and renames it into place.  The binary container is a
+little-endian file: magic ``SYNP``, a u16 format version, a JSON metadata
+blob, then named float64 records.  Datasets, model checkpoints and samples
+use it, and :func:`read_container` checks a container's ``kind`` and records.
+Metrics are CSV text (:func:`write_csv`).  All generation is driven by
 ``np.random.default_rng`` seeded from explicit ``SeedSequence`` keys, and
 writes are ordered, so identical inputs produce byte-identical files.
 """
@@ -17,8 +20,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-from .autodiff import Tensor
 
 MAGIC = b"SYNP"
 FORMAT_VERSION = 1
@@ -43,45 +44,78 @@ class DataError(ValueError):
     """Invalid generation or preprocessing arguments."""
 
 
+# -- artifact files ------------------------------------------------------------
+
+
+def write_file(path, fill):
+    """Create or replace ``path`` with what ``fill(fh)`` writes; returns its result.
+
+    ``fill`` streams into a binary handle on a sibling ``.tmp`` file that then
+    replaces ``path``, so a write that fails part-way leaves any earlier file
+    at ``path`` intact and no ``.tmp`` file behind.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            result = fill(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return result
+
+
+def format_float(x: float) -> str:
+    """Shortest round-trip decimal text for metrics and file names."""
+    return repr(float(x))
+
+
+def write_csv(path, header: list[str], rows: list[list]) -> Path:
+    """Comma-separated ``header`` and ``rows``: float cells as
+    :func:`format_float` text, every other cell as ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_float(cell) if isinstance(cell, float) else str(cell) for cell in row))
+    text = "\n".join(lines) + "\n"
+    write_file(path, lambda fh: fh.write(text.encode("utf-8")))
+    return Path(path)
+
+
 # -- binary container --------------------------------------------------------
 
 
 def write_container(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> dict[str, int]:
-    """Write named float64 records plus a JSON meta blob.
-
-    Records are written sorted by name; returns ``{name: byte_offset}``.
-    The bytes go to a sibling ``.tmp`` file that then replaces ``path``, so
-    a write that fails part-way leaves any earlier file at ``path`` intact.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Write named float64 records, sorted by name, plus a JSON meta blob
+    through :func:`write_file`; returns ``{name: byte_offset}``."""
     meta_bytes = json.dumps(meta or {}, sort_keys=True).encode("utf-8")
-    offsets: dict[str, int] = {}
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<H", FORMAT_VERSION))
-            fh.write(struct.pack("<I", len(meta_bytes)))
-            fh.write(meta_bytes)
-            fh.write(struct.pack("<I", len(arrays)))
-            for name in sorted(arrays):
-                arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
-                encoded = name.encode("utf-8")
-                offsets[name] = fh.tell()
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                for dim in arr.shape:
-                    fh.write(struct.pack("<Q", dim))
-                fh.write(arr.tobytes())
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return offsets
+
+    def fill(fh) -> dict[str, int]:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<H", FORMAT_VERSION))
+        fh.write(struct.pack("<I", len(meta_bytes)))
+        fh.write(meta_bytes)
+        fh.write(struct.pack("<I", len(arrays)))
+        offsets: dict[str, int] = {}
+        for name in sorted(arrays):
+            arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
+            encoded = name.encode("utf-8")
+            offsets[name] = fh.tell()
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            for dim in arr.shape:
+                fh.write(struct.pack("<Q", dim))
+            fh.write(arr.tobytes())
+        return offsets
+
+    return write_file(path, fill)
 
 
-def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
+def read_container(path, *, kind: str | None = None, records: tuple[str, ...] = ()) -> tuple[dict[str, np.ndarray], dict]:
+    """The records and meta of the container at ``path``; ``ContainerError``
+    for a malformed or unreadable file, one whose meta ``kind`` is not
+    ``kind`` (when given), or one that lacks one of the named ``records``."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -111,6 +145,8 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
         raise ContainerError(f"{path} has a corrupt meta blob: {exc}") from exc
     if not isinstance(meta, dict):
         raise ContainerError(f"{path} has a meta blob that is not a JSON object")
+    if kind is not None and meta.get("kind") != kind:
+        raise ContainerError(f"{path} is not a {kind} container (kind={meta.get('kind')!r})")
     (count,) = struct.unpack("<I", take(4))
 
     arrays: dict[str, np.ndarray] = {}
@@ -131,23 +167,19 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
         arrays[name] = np.array(data)  # own the memory
     if pos != len(view):
         raise ContainerError(f"{path} has {len(view) - pos} trailing bytes")
+    missing = [name for name in records if name not in arrays]
+    if missing:
+        raise ContainerError(f"{path} lacks records: {missing}")
     return arrays, meta
 
 
-def save_checkpoint(path, state: dict, meta: dict | None = None) -> None:
-    """Persist named tensors/arrays; values may be Tensor or ndarray."""
-    arrays = {
-        name: (value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64))
-        for name, value in state.items()
-    }
-    write_container(path, arrays, dict(meta or {}, kind="checkpoint"))
+def save_checkpoint(path, state: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Persist named arrays as a ``checkpoint`` container."""
+    write_container(path, state, dict(meta or {}, kind="checkpoint"))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    arrays, meta = read_container(path)
-    if meta.get("kind") != "checkpoint":
-        raise ContainerError(f"{path} is not a checkpoint (kind={meta.get('kind')!r})")
-    return arrays, meta
+    return read_container(path, kind="checkpoint")
 
 
 # -- filtering and preprocessing ---------------------------------------------
@@ -212,7 +244,6 @@ def preprocess(
 class Dataset:
     windows: np.ndarray  # (N, C, S)
     labels: np.ndarray  # (N,) int
-    subjects: np.ndarray  # (N,) int
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
@@ -384,7 +415,6 @@ def generate_dataset(
     }
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     offsets = write_container(out_dir / "dataset.bin", arrays, meta)
     manifest = dict(
         meta,
@@ -393,9 +423,8 @@ def generate_dataset(
         file="dataset.bin",
         record_offsets=offsets,
     )
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_file(out_dir / "manifest.json", lambda fh: fh.write(text.encode("utf-8")))
     return manifest
 
 
@@ -404,21 +433,19 @@ def integers_below(values: np.ndarray, stop: int) -> bool:
     return values.ndim == 1 and bool(np.all((values >= 0) & (values < stop) & (values == np.floor(values))))
 
 
+# The records `load_dataset` reads.  `generate_dataset` also writes each
+# window's "subjects" index, which no command reads.
+DATASET_RECORDS = (
+    "windows", "labels", "train_idx", "val_idx", "test_idx", "anchor_text", "anchor_image", "window_image_emb",
+)
+
+
 def load_dataset(data_dir) -> Dataset:
     """Load the dataset directory written by :func:`generate_dataset`."""
     container = Path(data_dir) / "dataset.bin"
     if not container.exists():
         raise DataError(f"no dataset at {container}; run `gen-data` first")
-    arrays, meta = read_container(container)
-    if meta.get("kind") != "dataset":
-        raise ContainerError(f"{container} is not a dataset (kind={meta.get('kind')!r})")
-    required = (
-        "windows", "labels", "subjects", "train_idx", "val_idx", "test_idx",
-        "anchor_text", "anchor_image", "window_image_emb",
-    )
-    missing = [name for name in required if name not in arrays]
-    if missing:
-        raise ContainerError(f"{container} lacks records: {missing}")
+    arrays, meta = read_container(container, kind="dataset", records=DATASET_RECORDS)
     # Indices select windows and labels select anchor rows: each must be an
     # integer in range, or training fails far from the file that is wrong.
     n = len(arrays["windows"])
@@ -432,7 +459,6 @@ def load_dataset(data_dir) -> Dataset:
     return Dataset(
         windows=arrays["windows"],
         labels=arrays["labels"].astype(np.int64),
-        subjects=arrays["subjects"].astype(np.int64),
         train_idx=arrays["train_idx"].astype(np.int64),
         val_idx=arrays["val_idx"].astype(np.int64),
         test_idx=arrays["test_idx"].astype(np.int64),

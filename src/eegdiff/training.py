@@ -38,7 +38,9 @@ from .losses import (
     v_loss,
 )
 from .nn import BATCH_NORM_EPS, LAYER_NORM_EPS, ConfigError
-from .signalio import DataError, Dataset, load_checkpoint, load_dataset, save_checkpoint, split_sizes
+from .signalio import (
+    DataError, Dataset, format_float, load_checkpoint, load_dataset, save_checkpoint, split_sizes, write_csv,
+)
 
 
 class Adam:
@@ -340,25 +342,6 @@ def finite_scale(scale: float) -> float:
     return scale
 
 
-def format_float(x: float) -> str:
-    """Shortest round-trip decimal text for metrics and file names."""
-    return repr(float(x))
-
-
-def write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [
-            format_float(cell) if isinstance(cell, float) else str(cell)
-            for cell in row
-        ]
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
-
-
 def _map_no_grad(fn, rows: np.ndarray) -> np.ndarray:
     """``fn`` over chunks of 32 rows without building a graph, concatenated."""
     with ad.no_grad():
@@ -455,12 +438,7 @@ def train_stage1(cfg: RunConfig) -> dict:
         rows += [[epoch, f"val_{name}", value] for name, value in evaluate_stage1(model, data, weights).items()]
 
     metrics = write_csv(cfg.stage1_metrics, ["epoch", "metric", "value"], rows)
-    save_checkpoint(
-        cfg.stage1_checkpoint,
-        model.state(),
-        {"stage": 1, "epochs": cfg.epochs_stage1, "config": _checkpoint_config(cfg)},
-    )
-    return {"checkpoint": cfg.stage1_checkpoint, "metrics": metrics, "model": model}
+    return {"checkpoint": _save_stage_checkpoint(model, cfg, 1), "metrics": metrics, "model": model}
 
 
 def evaluate_stage1(model: SignalAutoencoder, data: Dataset, weights: LossWeights) -> dict:
@@ -486,6 +464,15 @@ MODEL_FIELDS = {
     1: ("channels", "samples", "latent_tokens", "latent_dim", "temporal_dim", "heads", "depth"),
     2: ("grid", "widths", "attn_width", "attn_heads", "time_dim", "schedule_steps", "beta_min", "beta_max"),
 }
+
+
+def _save_stage_checkpoint(model, cfg: RunConfig, stage: int, **meta) -> Path:
+    """Write ``model`` as the run's stage-``stage`` checkpoint; its meta holds
+    the stage, epochs and config that :func:`_load_checkpoint_into` checks,
+    plus ``meta``.  Returns the checkpoint path."""
+    path, epochs = (cfg.stage1_checkpoint, cfg.epochs_stage1) if stage == 1 else (cfg.stage2_checkpoint, cfg.epochs_stage2)
+    save_checkpoint(path, model.state(), {"stage": stage, "epochs": epochs, "config": _checkpoint_config(cfg), **meta})
+    return path
 
 
 def _load_checkpoint_into(model, cfg: RunConfig, stage: int):
@@ -573,17 +560,8 @@ def train_stage2(cfg: RunConfig) -> dict:
     for epoch, means in _epochs(cfg, 2, cfg.epochs_stage2, np.arange(len(train_set["labels"])), 1, step):
         rows += [[epoch, name, mean] for name, mean in means.items()]
     metrics = write_csv(cfg.stage2_metrics, ["epoch", "metric", "value"], rows)
-    save_checkpoint(
-        cfg.stage2_checkpoint,
-        model.state(),
-        {
-            "stage": 2,
-            "epochs": cfg.epochs_stage2,
-            "mask": list(mask),
-            "config": _checkpoint_config(cfg),
-        },
-    )
-    return {"checkpoint": cfg.stage2_checkpoint, "metrics": metrics, "model": model, "mask": mask}
+    path = _save_stage_checkpoint(model, cfg, 2, mask=list(mask))
+    return {"checkpoint": path, "metrics": metrics, "model": model, "mask": mask}
 
 
 def load_stage2_model(cfg: RunConfig) -> Stage2Model:

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eegdiff import signalio
 from eegdiff.signalio import (
     ContainerError,
     DataError,
@@ -16,6 +18,7 @@ from eegdiff.signalio import (
     read_container,
     save_checkpoint,
     write_container,
+    write_csv,
 )
 
 
@@ -33,7 +36,7 @@ def test_container_round_trip(tmp_path, rng):
     path = tmp_path / "x.bin"
     offsets = write_container(path, arrays, meta)
     assert sorted(offsets) == ["a", "b"]
-    got, got_meta = read_container(path)
+    got, got_meta = read_container(path, kind="test", records=("a", "b"))
     assert got_meta == meta
     np.testing.assert_array_equal(got["a"], arrays["a"])
     np.testing.assert_array_equal(got["b"], arrays["b"])
@@ -113,6 +116,12 @@ def test_read_container_rejects_bad_name_size_and_meta(tmp_path, fuzz_blob):
     write_container(path, {}, [1])  # meta that is JSON but not an object
     with pytest.raises(ContainerError, match="not a JSON object"):
         read_container(path)
+    # a well-formed container of another kind, or without a named record
+    path.write_bytes(fuzz_blob)
+    with pytest.raises(ContainerError, match="is not a checkpoint container"):
+        read_container(path, kind="checkpoint")
+    with pytest.raises(ContainerError, match=r"lacks records: \['labels'\]"):
+        read_container(path, kind="t", records=("w", "labels"))
 
 
 def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, rng):
@@ -124,6 +133,28 @@ def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, rng):
         write_container(path, {"a": rng.normal(size=4), "b": np.array(["x"])}, {"kind": "t"})
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["x.bin"]
+
+
+@pytest.mark.parametrize("target", ["t.csv", "manifest.json"])
+def test_failed_text_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch, target):
+    path = tmp_path / target
+    path.write_bytes(b"earlier\n")
+    replace = signalio.os.replace
+
+    def fail_on_target(src, dst):
+        if Path(dst).name == target:
+            raise OSError(f"cannot replace {dst}")
+        replace(src, dst)
+
+    monkeypatch.setattr(signalio.os, "replace", fail_on_target)
+    with pytest.raises(OSError, match="cannot replace"):
+        if target == "t.csv":
+            write_csv(path, ["a", "b"], [[1, 0.5]])
+        else:
+            generate_dataset(tmp_path, channels=2, samples=16, latent_tokens=4, latent_dim=8,
+                             classes=2, per_class=4, subjects=1, seed=0, fs=250.0)
+    assert path.read_bytes() == b"earlier\n"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_checkpoint_kind_enforced(tmp_path, rng):

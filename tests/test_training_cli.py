@@ -1,6 +1,7 @@
 import gc
 import json
 import re
+import shutil
 import warnings
 import weakref
 from dataclasses import replace
@@ -17,8 +18,8 @@ from eegdiff import cli, signalio, training
 from eegdiff.autodiff import NonFiniteError, Tensor
 from eegdiff.cli import main
 from eegdiff.nn import ConfigError
-from eegdiff.signalio import read_container, write_container
-from eegdiff.training import DATASET_FIELDS, Adam, RunConfig, format_float, write_csv
+from eegdiff.signalio import format_float, read_container, write_container, write_csv
+from eegdiff.training import DATASET_FIELDS, Adam, RunConfig
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -238,12 +239,27 @@ def test_cfg_sweep(ws):
 def test_cfg_sweep_loads_each_input_once(ws, monkeypatch):
     reads, populations = [], []
     read = signalio.read_container
-    monkeypatch.setattr(signalio, "read_container", lambda path: reads.append(Path(path).name) or read(path))
+    monkeypatch.setattr(
+        signalio, "read_container", lambda path, **kwargs: reads.append(Path(path).name) or read(path, **kwargs)
+    )
     population = cli.stage2_training_set
     monkeypatch.setattr(cli, "stage2_training_set", lambda *a: populations.append(1) or population(*a))
     assert main(["cfg-sweep", *ws.argv, "--scales", "0,2", "--num", "4"]) == 0
     assert sorted(reads) == ["autoencoder.bin", "dataset.bin", "diffusion.bin"]
     assert len(populations) == 1
+
+
+def test_cfg_sweep_refuses_one_sample_before_it_samples(ws, tmp_path, capsys):
+    # a Fréchet distance needs the covariance of at least 2 samples; the run
+    # has both checkpoints, so only the check keeps it from sampling
+    run = tmp_path / "run"
+    for stage in ("stage1", "stage2"):
+        shutil.copytree(Path(ws.cfg.out_dir) / stage, run / stage)
+    argv = write_config(tmp_path / "config.json", ws.cfg, out_dir=str(run), data_dir=str(ws.cfg.resolved_data_dir))
+    capsys.readouterr()
+    assert main(["cfg-sweep", *argv, "--scales", "0,1", "--num", "1"]) == 1
+    assert_one_error_line(capsys)
+    assert not (run / "samples").exists()
 
 
 def test_gen_data_rejects_a_split_too_small_to_score(tmp_path, capsys):
