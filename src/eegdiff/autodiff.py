@@ -4,7 +4,7 @@ A :class:`Tensor` wraps an ``np.ndarray`` and records, for every operation,
 its parent tensors and one vector-Jacobian product (VJP) per parent.
 Calling :meth:`Tensor.backward` on a scalar walks the recorded graph in
 reverse topological order and accumulates gradients into ``.grad`` for
-every tensor created with ``requires_grad=True``.
+every leaf created with ``requires_grad=True``.
 
 Design notes:
 
@@ -35,8 +35,11 @@ Design notes:
   otherwise; later contributions are summed into fresh arrays.  So ``.grad``
   arrays may share memory with each other (an ``add`` hands one array to
   both operands): read them, never write them in place,
-* ``backward()`` resets gradients before accumulating, so calling it twice
-  yields identical results.
+* gradient lifetime: an op result's ``.grad`` lives only until its VJPs
+  have run, then the walk drops it (root included), so after
+  ``backward()`` only leaves hold a ``.grad``, as in PyTorch's autograd,
+* ``backward()`` resets the gradients of the graph it walks before
+  accumulating, so calling it twice yields identical results.
 
 Primitives: elementwise ``add``/``sub``/``mul``/``div``/``power``/``exp``/
 ``log``/``abs_``/``minimum``/``relu``/``sigmoid``; ``matmul``; ``linear``,
@@ -159,8 +162,10 @@ class Tensor:
 
     def backward(self) -> None:
         """Backpropagate from a scalar root into the ``.grad`` of every
-        ``requires_grad`` tensor the graph reaches.
+        ``requires_grad`` leaf the graph reaches.
 
+        Each op result's ``.grad`` is dropped as soon as its VJPs have run,
+        so the walk holds only the gradients still to be consumed.
         Gradients are reset before accumulation, so repeated calls give
         identical results.  A tensor outside the graph keeps its ``.grad``.
         """
@@ -189,6 +194,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def reshape(self, *shape: int) -> "Tensor":
         return reshape(self, shape)
@@ -290,8 +296,10 @@ def linear(x, w, b=None) -> Tensor:
     """Affine map ``x @ w (+ b)`` as one node: the bias is added in place
     into the fresh GEMM output, so the layer makes one (..., N) array, one
     probe and one graph node.  Values and gradients equal those of
-    ``add(matmul(x, w), b)``; ``w``'s gradient stays a batched product that
-    the engine sums over the leading axes, in the order ``matmul`` uses.
+    ``add(matmul(x, w), b)``.  For ``x`` of ndim >= 3, ``w``'s gradient is
+    never the batched product: each ``x[i].T @ g[i]`` goes into one (K, N)
+    scratch buffer and is added, in index order, into a zeroed sum, the
+    order and the +0.0 start of numpy's reduce over the leading axes.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim < 2 or w.ndim != 2:
@@ -299,11 +307,19 @@ def linear(x, w, b=None) -> Tensor:
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
     data = np.matmul(x.data, w.data)
+
+    def w_vjp(g):
+        if x.ndim == 2:
+            return np.matmul(x.data.T, g)
+        acc = np.zeros(w.shape)
+        part = np.empty_like(acc)
+        for i in np.ndindex(x.shape[:-2]):
+            np.matmul(x.data[i].T, g[i], out=part)
+            acc += part
+        return acc
+
     parents = [x, w]
-    vjps = [
-        lambda g: np.matmul(g, w.data.T),
-        lambda g: np.matmul(np.swapaxes(x.data, -1, -2), g),
-    ]
+    vjps = [lambda g: np.matmul(g, w.data.T), w_vjp]
     if b is not None:
         b = as_tensor(b)
         if b.shape != w.shape[1:]:

@@ -44,7 +44,11 @@ from .signalio import (
 
 
 class Adam:
-    """Adam with bias correction; a zero gradient leaves parameters unchanged.
+    """Adam with bias correction.
+
+    A zero (or missing) gradient leaves a parameter unchanged only while its
+    moments are zero; after one nonzero step, the decaying moments still move
+    it.
 
     ``RunConfig.validate`` checks the run's ``lr_stage*`` and ``adam_*``
     values; the optimizer takes its hyperparameters as given.

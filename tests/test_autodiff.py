@@ -3,6 +3,7 @@ import functools
 import gc
 import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ def test_adopted_gradients_match_zero_fill_on_primitives(seed, monkeypatch):
         assert adopted[kind].strides == grad.strides, kind
 
 
+def stage1_loss(model: SignalAutoencoder, cfg: RunConfig, rng) -> Tensor:
+    """The training-mode stage-1 loss of one random batch."""
+    b = cfg.batch_size
+    x = Tensor(rng.normal(size=(b, cfg.channels, cfg.samples)))
+    z = model.encode_batch(x, training=True)
+    total, _ = stage1_loss_terms(
+        x, model.decode_batch(z), z, Tensor(rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim))),
+        mean_pool_latent(z), Tensor(rng.normal(size=(b, cfg.latent_dim))), cfg.loss_weights,
+    )
+    return total
+
+
 def train_three_steps(stage: int) -> dict:
     """Model state after three stage-1 or stage-2 steps at the tiny config."""
     cfg = tiny_config()
@@ -167,12 +180,7 @@ def train_three_steps(stage: int) -> dict:
         model = SignalAutoencoder(cfg.encoder_config(), rng)
         opt = Adam(model.params(), cfg.lr_stage1)
         for _ in range(3):
-            x = Tensor(rng.normal(size=(b, cfg.channels, cfg.samples)))
-            z = model.encode_batch(x, training=True)
-            total, _ = stage1_loss_terms(
-                x, model.decode_batch(z), z, Tensor(rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim))),
-                mean_pool_latent(z), Tensor(rng.normal(size=(b, cfg.latent_dim))), cfg.loss_weights,
-            )
+            total = stage1_loss(model, cfg, rng)
             opt.zero_grad()
             total.backward()
             opt.step()
@@ -207,6 +215,70 @@ def test_adopted_gradient_is_never_written_in_place(rng):
     ad.sum_(ad.mul(ad.add(ad.add(a, b), ad.mul(a, 2.0)), w)).backward()
     np.testing.assert_array_equal(b.grad, w)
     np.testing.assert_array_equal(a.grad, w + 2.0 * w)
+
+
+def keep_all_backward(root: Tensor) -> list[Tensor]:
+    """Reference walk: ``Tensor.backward`` as it was before it dropped
+    consumed gradients, so every node keeps its ``.grad``.  Returns the nodes
+    in topological order."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack += [(parent, False) for parent in node._parents if id(parent) not in seen]
+    for node in order:
+        node.grad = None
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+    return order
+
+
+def _bytes(arrays: dict) -> dict:
+    return {name: (a.tobytes(), a.strides) for name, a in arrays.items()}
+
+
+def test_backward_keeps_only_leaf_gradients():
+    cfg = RunConfig()
+    rng = np.random.default_rng(19)
+    model = SignalAutoencoder(cfg.encoder_config(), rng)
+    params = model.params()
+    loss = stage1_loss(model, cfg, rng)
+    inner = [node for node in keep_all_backward(loss) if node._backward is not None]
+    assert len(inner) > 100 and all(node.grad is not None for node in inner)
+    reference = _bytes({name: p.grad for name, p in params.items()})
+
+    loss.backward()
+    assert [node for node in inner if node.grad is not None] == []
+    assert _bytes({name: p.grad for name, p in params.items()}) == reference
+    loss.backward()
+    assert _bytes({name: p.grad for name, p in params.items()}) == reference
+
+
+def test_backward_peak_memory_stays_near_its_graph():
+    """One default-size stage-1 backward holds at most 3 MiB above its graph:
+    the gradients it consumes are dropped, and no batched weight-gradient
+    product is built."""
+    cfg = RunConfig()
+    rng = np.random.default_rng(19)
+    model = SignalAutoencoder(cfg.encoder_config(), rng)
+    tracemalloc.start()
+    try:
+        loss = stage1_loss(model, cfg, rng)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - held <= 3 * 2**20, f"backward peaked {(peak - held) / 2**20:.2f} MiB above its graph"
 
 
 def test_matmul_shape_errors():
@@ -252,6 +324,43 @@ def test_linear_matches_add_of_matmul(x_shape, w_shape, bias, rng):
     for new, old in zip(*runs):
         assert np.array_equal(new, old)
         assert new.strides == old.strides
+
+
+def _transposed(shape, rng):
+    """A (B, M, N) view of a C-contiguous (B, N, M) array, as ``h.transpose``
+    hands ``enc_tokens``, ``enc_feat``, ``dec_tokens`` and ``dec_head``."""
+    b, m, n = shape
+    return rng.normal(size=(b, n, m)).transpose(0, 2, 1)
+
+
+# (x, d_out) of the 3-D ``linear`` calls of the default models, plus batch 1
+# and a case whose ``g`` is -0.0 in some columns of every slice
+LINEAR_WEIGHT_CASES = {
+    "spatial_qkv_out": (lambda rng: rng.normal(size=(16, 16, 128)), 128),
+    "enc_tokens": (lambda rng: _transposed((16, 128, 16), rng), 8),
+    "enc_feat": (lambda rng: _transposed((16, 8, 128), rng), 32),
+    "dec_tokens": (lambda rng: _transposed((16, 128, 8), rng), 16),
+    "dec_head": (lambda rng: _transposed((16, 16, 128), rng), 64),
+    "xattn_kv": (lambda rng: rng.normal(size=(16, 12, 32)), 32),
+    "batch1": (lambda rng: rng.normal(size=(1, 16, 128)), 128),
+    "signed_zeros": (lambda rng: np.abs(rng.normal(size=(16, 12, 32))), 32),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINEAR_WEIGHT_CASES))
+def test_linear_weight_grad_matches_batched_sum(case):
+    make_x, d_out = LINEAR_WEIGHT_CASES[case]
+    rng = np.random.default_rng(np.random.SeedSequence([19, d_out]))
+    x_data = make_x(rng)
+    g = rng.normal(size=x_data.shape[:-1] + (d_out,))
+    if case == "signed_zeros":
+        # every slice's products in these columns are -0.0
+        g[..., ::3] = -0.0
+    w = Tensor(rng.normal(size=(x_data.shape[-1], d_out)), requires_grad=True)
+    ad.sum_(ad.mul(ad.linear(Tensor(x_data), w), g)).backward()
+    expected = np.matmul(np.swapaxes(x_data, -1, -2), g).sum(axis=0)
+    assert w.grad.tobytes() == expected.tobytes()  # signed zeros included
+    assert w.grad.strides == expected.strides
 
 
 def reference_im2col3x3(x):
@@ -387,9 +496,13 @@ def test_upsample2_matches_composite_on_channel_last_input(shape, rng):
         x = Tensor(x_data, requires_grad=True)
         feature = pre(x)
         assert feature.data.strides[1] == feature.data.itemsize  # channel-last
+        # backward keeps only leaf gradients: read the feature map's from a
+        # leaf that holds the same channel-last array
+        leaf = Tensor(feature.data, requires_grad=True)
+        ad.sum_(ad.mul(up(upsample(leaf)), weight)).backward()
         tiled = upsample(feature)
         ad.sum_(ad.mul(up(tiled), weight)).backward()
-        runs.append((tiled.data, feature.grad, x.grad, pre.w.grad, up.w.grad, up.b.grad))
+        runs.append((tiled.data, leaf.grad, x.grad, pre.w.grad, up.w.grad, up.b.grad))
     for new, old in zip(*runs):
         assert np.array_equal(new, old)
     # the gradient comes back laid out like the feature map, so it is adopted
