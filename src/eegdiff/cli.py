@@ -61,23 +61,20 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return cfg.validate()
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _config_from(args)
+def cmd_gen_data(args, cfg: RunConfig) -> int:
     generate_dataset(cfg.resolved_data_dir, **{name: getattr(cfg, name) for name in DATASET_FIELDS})
     base = cfg.resolved_data_dir
     print(f"wrote {base / 'dataset.bin'} and {base / 'manifest.json'}")
     return 0
 
 
-def cmd_train_stage1(args) -> int:
-    cfg = _config_from(args)
+def cmd_train_stage1(args, cfg: RunConfig) -> int:
     out = train_stage1(cfg)
     print(f"wrote {out['checkpoint']} and {out['metrics']}")
     return 0
 
 
-def cmd_train_stage2(args) -> int:
-    cfg = _config_from(args)
+def cmd_train_stage2(args, cfg: RunConfig) -> int:
     out = train_stage2(cfg)
     print(f"wrote {out['checkpoint']} and {out['metrics']}")
     return 0
@@ -103,8 +100,7 @@ def _generate(cfg: RunConfig, data, encoder, model, scale: float, steps: int, nu
     return samples, labels, path
 
 
-def cmd_sample(args) -> int:
-    cfg = _config_from(args)
+def cmd_sample(args, cfg: RunConfig) -> int:
     scale = cfg.guidance_scale if args.scale is None else finite_scale(args.scale)
     steps = cfg.sample_steps if args.steps is None else int(args.steps)
     num = cfg.num_samples if args.num is None else int(args.num)
@@ -114,8 +110,7 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_eval_retrieval(args) -> int:
-    cfg = _config_from(args)
+def cmd_eval_retrieval(args, cfg: RunConfig) -> int:
     data = load_data(cfg)
     encoder = load_stage1_model(cfg)
     idx = data.test_idx
@@ -135,10 +130,10 @@ def cmd_eval_retrieval(args) -> int:
     return 0
 
 
-def _real_population(cfg: RunConfig, data, encoder):
+def _real_population(cfg: RunConfig, data):
     """The class target anchors and the Gaussian fit of the real
     latent-target population that generated samples are scored against."""
-    real = stage2_training_set(cfg, data, encoder)
+    real = stage2_training_set(cfg, data)
     return real["anchors"], fit_gaussian(real["x0"].reshape(len(real["x0"]), -1))
 
 
@@ -159,18 +154,15 @@ def _load_samples(cfg: RunConfig, scale: float):
     samples, labels = records["samples"], records["labels"]
     if samples.ndim == 0 or labels.shape != samples.shape[:1]:
         raise DataError(f"{path} holds {samples.shape} samples but {labels.shape} labels")
-    if not np.isfinite(samples).all():
-        raise DataError(f"{path} holds non-finite samples")
     if not integers_below(labels, cfg.classes):
         raise DataError(f"{path} record 'labels' must hold integers in [0, {cfg.classes})")
     return samples, labels.astype(int)
 
 
-def cmd_eval_gen(args) -> int:
-    cfg = _config_from(args)
+def cmd_eval_gen(args, cfg: RunConfig) -> int:
     scale = cfg.guidance_scale if args.scale is None else finite_scale(args.scale)
     samples, labels = _load_samples(cfg, scale)
-    agree, fd = _gen_metrics(samples, labels, _real_population(cfg, load_data(cfg), load_stage1_model(cfg)))
+    agree, fd = _gen_metrics(samples, labels, _real_population(cfg, load_data(cfg)))
     out = write_csv(
         cfg.eval_dir / f"gen_scale_{format_float(scale)}.csv",
         ["scale", "agreement", "frechet"],
@@ -181,8 +173,7 @@ def cmd_eval_gen(args) -> int:
     return 0
 
 
-def cmd_cfg_sweep(args) -> int:
-    cfg = _config_from(args)
+def cmd_cfg_sweep(args, cfg: RunConfig) -> int:
     try:
         scales = [finite_scale(float(s)) for s in args.scales.split(",") if s.strip()]
     except ValueError as exc:
@@ -194,7 +185,7 @@ def cmd_cfg_sweep(args) -> int:
     if num < 2:
         raise ConfigError(f"cfg-sweep needs at least 2 samples per scale to fit their covariance, got {num}")
     data, encoder, model = load_data(cfg), load_stage1_model(cfg), load_stage2_model(cfg)
-    real = _real_population(cfg, data, encoder)
+    real = _real_population(cfg, data)
     rows = []
     for scale in scales:
         samples, labels, _ = _generate(cfg, data, encoder, model, scale, steps, num)
@@ -206,8 +197,7 @@ def cmd_cfg_sweep(args) -> int:
     return 0
 
 
-def cmd_grad_check(args) -> int:
-    cfg = _config_from(args)
+def cmd_grad_check(args, cfg: RunConfig) -> int:
     results = gradient_suite(seeds=args.seeds)
     rows = []
     ok = True
@@ -270,7 +260,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        return args.func(args, _config_from(args))
     except (
         ConfigError, ShapeError, DataError, ContainerError, EvalError, NonFiniteError, OSError, RuntimeError
     ) as exc:

@@ -348,15 +348,17 @@ def apply_train_mask(model: Stage2Model, mask: tuple[str, ...]) -> dict[str, Ten
 def class_target_latents(classes: int, grid: tuple[int, int, int], seed: int) -> np.ndarray:
     """Per-class unit-RMS target latents, reproducible from the seed.
 
-    Targets are spatially smooth (a coarse random grid upsampled 4x per
-    axis) so they occupy the low-frequency band a small convolutional
-    decoder can actually reach.
+    Targets are spatially smooth (a coarse random grid of a quarter the
+    size per axis, nearest-neighbour upsampled to the grid) so they occupy
+    the low-frequency band a small convolutional decoder can actually reach.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 8]))
     c, h, w = grid
     bh, bw = max(1, h // 4), max(1, w // 4)
     coarse = rng.standard_normal((classes, c, bh, bw))
-    lat = np.repeat(np.repeat(coarse, h // bh, axis=2), w // bw, axis=3)
+    # fine row i and column j read coarse cell (i * bh // h, j * bw // w);
+    # `take` keeps the result C-ordered, so the rms sums in the same order
+    lat = np.take(np.take(coarse, np.arange(h) * bh // h, axis=2), np.arange(w) * bw // w, axis=3)
     rms = np.sqrt((lat * lat).mean(axis=(1, 2, 3), keepdims=True))
     return lat / rms
 

@@ -114,8 +114,9 @@ def write_container(path, arrays: dict[str, np.ndarray], meta: dict | None = Non
 
 def read_container(path, *, kind: str | None = None, records: tuple[str, ...] = ()) -> tuple[dict[str, np.ndarray], dict]:
     """The records and meta of the container at ``path``; ``ContainerError``
-    for a malformed or unreadable file, one whose meta ``kind`` is not
-    ``kind`` (when given), or one that lacks one of the named ``records``."""
+    for a malformed or unreadable file, one with a non-finite value in a
+    record, one whose meta ``kind`` is not ``kind`` (when given), or one that
+    lacks one of the named ``records``."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -164,6 +165,8 @@ def read_container(path, *, kind: str | None = None, records: tuple[str, ...] = 
             data = data.reshape(shape)
         except ValueError as exc:  # more axes than numpy allows
             raise ContainerError(f"{path} record {name!r} has a corrupt shape: {exc}") from exc
+        if not np.isfinite(data).all():
+            raise ContainerError(f"{path} record {name!r} holds non-finite values")
         arrays[name] = np.array(data)  # own the memory
     if pos != len(view):
         raise ContainerError(f"{path} has {len(view) - pos} trailing bytes")

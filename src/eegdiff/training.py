@@ -507,14 +507,14 @@ def load_stage1_model(cfg: RunConfig) -> SignalAutoencoder:
     return _load_checkpoint_into(SignalAutoencoder(cfg.encoder_config(), np.random.default_rng(0)), cfg, 1)
 
 
-def stage2_training_set(cfg: RunConfig, data: Dataset, encoder: SignalAutoencoder):
-    """Frozen-encoder conditions and per-window target latents for stage 2."""
+def stage2_training_set(cfg: RunConfig, data: Dataset):
+    """Per-window target latents of the training split for stage 2: class
+    anchors plus seeded jitter, so no encoder is needed."""
     labels = data.labels[data.train_idx]
-    latents, _ = encode_windows(encoder, data.windows[data.train_idx])
     anchors = class_target_latents(cfg.classes, cfg.grid, cfg.seed)
     jitter_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     x0 = anchors[labels] + cfg.x0_jitter * jitter_rng.standard_normal((len(labels),) + tuple(cfg.grid))
-    return {"x0": x0, "cond": latents, "labels": labels, "anchors": anchors}
+    return {"x0": x0, "labels": labels, "anchors": anchors}
 
 
 def generation_conditions(cfg: RunConfig, data: Dataset, encoder: SignalAutoencoder, num: int):
@@ -547,8 +547,9 @@ def build_stage2_model(cfg: RunConfig, rng: np.random.Generator) -> Stage2Model:
 def train_stage2(cfg: RunConfig) -> dict:
     """Selective finetuning of the conditional denoiser on frozen latents."""
     data = load_data(cfg)
-    encoder = load_stage1_model(cfg)
-    train_set = stage2_training_set(cfg, data, encoder)
+    # the frozen encoder only conditions the denoiser: a temporary, freed here
+    cond, _ = encode_windows(load_stage1_model(cfg), data.windows[data.train_idx])
+    train_set = stage2_training_set(cfg, data)
 
     model = build_stage2_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 21])))
     mask = selective_finetune_mask(model)
@@ -556,7 +557,7 @@ def train_stage2(cfg: RunConfig) -> dict:
     optimizer = Adam(trainable, cfg.lr_stage2, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
     def step(chunk, rng):
-        batch = {"x0": train_set["x0"][chunk], "cond": train_set["cond"][chunk]}
+        batch = {"x0": train_set["x0"][chunk], "cond": cond[chunk]}
         loss = stage2_train_step(batch, model, optimizer, rng, drop_prob=cfg.drop_prob, gamma=cfg.gamma)
         return {"v_loss": loss}
 
@@ -664,36 +665,38 @@ def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
             worst_prim = max(worst_prim, err)
     results.append(("primitives", worst_prim))
 
-    tiny = EncoderConfig(channels=4, samples=8, latent_tokens=2, latent_dim=4,
-                         temporal_dim=8, heads=2, depth=1)
+    # the audited modules are built the way a run builds them, at a tiny size
+    tiny = RunConfig(
+        channels=4, samples=8, latent_tokens=2, latent_dim=4, temporal_dim=8, heads=2, depth=1,
+        grid=(2, 4, 4), widths=(4, 8), attn_width=4, attn_heads=2, time_dim=8,
+        schedule_steps=10, beta_max=0.02,
+    )
+    signal_shape = (2, tiny.channels, tiny.samples)
+    feature_shape = (2, tiny.channels, tiny.temporal_dim)
+    latent_shape = (2,) + tiny.grid
+
+    def weighted_sum(fn, rng, shape):
+        """``fn`` made scalar: its output times fixed weights of ``shape``
+        drawn from ``rng``, summed."""
+        w = Tensor(rng.normal(size=shape))
+        return lambda x: ad.sum_(ad.mul(fn(x), w))
 
     def build_temporal(rng):
         block = TemporalBlock(rng, tiny.samples, tiny.temporal_dim)
-        wsum = Tensor(rng.normal(size=(2, tiny.channels, tiny.temporal_dim)))
-        return (
-            lambda x: ad.sum_(ad.mul(block(x, training=True), wsum)),
-            rng.normal(size=(2, tiny.channels, tiny.samples)),
-        )
+        return weighted_sum(lambda x: block(x, training=True), rng, feature_shape), rng.normal(size=signal_shape)
 
     run("temporal_block", build_temporal)
 
     def build_spatial(rng):
         block = SpatialBlock(rng, tiny.temporal_dim, tiny.heads)
-        wsum = Tensor(rng.normal(size=(2, tiny.channels, tiny.temporal_dim)))
-        return (
-            lambda x: ad.sum_(ad.mul(block(x), wsum)),
-            rng.normal(size=(2, tiny.channels, tiny.temporal_dim)),
-        )
+        return weighted_sum(block, rng, feature_shape), rng.normal(size=feature_shape)
 
     run("spatial_block", build_spatial)
 
     def build_autoencoder(rng):
-        model = SignalAutoencoder(tiny, rng)
-        wsum = Tensor(rng.normal(size=(2, tiny.channels, tiny.samples)))
-        return (
-            lambda x: ad.sum_(ad.mul(model.decode_batch(model.encode_batch(x, training=True)), wsum)),
-            rng.normal(size=(2, tiny.channels, tiny.samples)),
-        )
+        model = SignalAutoencoder(tiny.encoder_config(), rng)
+        fn = weighted_sum(lambda x: model.decode_batch(model.encode_batch(x, training=True)), rng, signal_shape)
+        return fn, rng.normal(size=signal_shape)
 
     run("autoencoder", build_autoencoder)
 
@@ -731,32 +734,21 @@ def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
         w = LossWeights()
 
         def fn(latent):
-            pooled = ad.mean(latent, axis=1)
-            return stage1_loss_terms(target, recon, latent, text, pooled, images, w)[0]
+            return stage1_loss_terms(target, recon, latent, text, mean_pool_latent(latent), images, w)[0]
 
         return fn, rng.normal(size=(2, 2, 4))
 
     run("stage1_loss", build_stage1_loss)
 
-    tiny_grid = (2, 4, 4)
-
-    def tiny_stage2(rng):
-        return Stage2Model(
-            DenoiserConfig(cond_dim=4, grid=tiny_grid, widths=(4, 8), attn_width=4,
-                           attn_heads=2, time_dim=8),
-            rng, latent_tokens=2, latent_dim=4, schedule=build_schedule(10),
-        )
-
     def build_adapter(rng):
-        model = tiny_stage2(rng)
-        wsum = Tensor(rng.normal(size=(3, 4, 4)))
-        return (lambda x: ad.sum_(ad.mul(model.adapter(x), wsum)), rng.normal(size=(3, 4)))
+        model = build_stage2_model(tiny, rng)
+        return weighted_sum(model.adapter, rng, (3, 4, 4)), rng.normal(size=(3, 4))
 
     run("adapter", build_adapter)
 
     def build_vloss(rng):
-        model = tiny_stage2(rng)
-        noise = Tensor(rng.standard_normal((2,) + tiny_grid))
+        model = build_stage2_model(tiny, rng)
+        noise = Tensor(rng.standard_normal(latent_shape))
         pooled = Tensor(rng.normal(size=(2, 4)))
         lat = Tensor(rng.normal(size=(2, 2, 4)))
 
@@ -764,31 +756,28 @@ def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
             cond = build_condition(lat, model.adapter(pooled))
             return v_loss(x0, noise, np.array([2, 7]), cond, model.denoise, model.schedule)
 
-        return fn, rng.standard_normal((2,) + tiny_grid)
+        return fn, rng.standard_normal(latent_shape)
 
     run("denoiser_v_loss", build_vloss)
 
     def build_vloss_plain(rng):
         schedule = build_schedule(10)
-        w = Tensor(rng.normal(size=(2,) + tiny_grid))
-        noise = Tensor(rng.standard_normal((2,) + tiny_grid))
+        w = Tensor(rng.normal(size=latent_shape))
+        noise = Tensor(rng.standard_normal(latent_shape))
 
         def fn(x0):
             # a fixed linear "model" isolates the loss math from the denoiser
             return v_loss(x0, noise, np.array([2, 7]), None, lambda x_t, t, c: ad.mul(x_t, w), schedule)
 
-        return fn, rng.standard_normal((2,) + tiny_grid)
+        return fn, rng.standard_normal(latent_shape)
 
     run("v_loss", build_vloss_plain)
 
     def build_denoise(rng):
-        model = tiny_stage2(rng)
+        model = build_stage2_model(tiny, rng)
         cond = Tensor(rng.normal(size=(2, 6, 4)))
-        wsum = Tensor(rng.normal(size=(2,) + tiny_grid))
-        return (
-            lambda x: ad.sum_(ad.mul(model.denoise(x, np.array([3, 7]), cond), wsum)),
-            rng.standard_normal((2,) + tiny_grid),
-        )
+        fn = weighted_sum(lambda x: model.denoise(x, np.array([3, 7]), cond), rng, latent_shape)
+        return fn, rng.standard_normal(latent_shape)
 
     run("denoise", build_denoise)
 

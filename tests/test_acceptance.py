@@ -262,7 +262,7 @@ def test_criterion_8_guidance_direction(desk):
     cfg = desk.cfg
     encoder = load_stage1_model(cfg)
     model = load_stage2_model(cfg)
-    train_set = stage2_training_set(cfg, desk.data, encoder)
+    train_set = stage2_training_set(cfg, desk.data)
     real = fit_gaussian(train_set["x0"].reshape(len(train_set["x0"]), -1))
     conds, labels = generation_conditions(cfg, desk.data, encoder, cfg.num_samples)
 

@@ -316,6 +316,21 @@ def test_class_target_latents_unit_rms():
     np.testing.assert_array_equal(lat, class_target_latents(5, (2, 4, 4), seed=11))
 
 
+def test_class_target_latents_fit_every_even_grid():
+    for h in range(2, 41, 2):
+        for w in range(2, 41, 2):
+            lat = class_target_latents(3, (2, h, w), seed=4)
+            assert lat.shape == (3, 2, h, w), (h, w)
+            np.testing.assert_allclose(np.sqrt((lat**2).mean(axis=(1, 2, 3))), 1.0, atol=1e-12)
+            bh, bw = max(1, h // 4), max(1, w // 4)
+            if h % bh == 0 and w % bw == 0:
+                # where whole-cell repeats fit, the anchors are those repeats, bit for bit
+                coarse = np.random.default_rng(np.random.SeedSequence([4, 8])).standard_normal((3, 2, bh, bw))
+                tiled = np.repeat(np.repeat(coarse, h // bh, axis=2), w // bw, axis=3)
+                rms = np.sqrt((tiled * tiled).mean(axis=(1, 2, 3), keepdims=True))
+                np.testing.assert_array_equal(lat, tiled / rms)
+
+
 # -- training step -----------------------------------------------------------------
 
 

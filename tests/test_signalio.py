@@ -124,6 +124,20 @@ def test_read_container_rejects_bad_name_size_and_meta(tmp_path, fuzz_blob):
         read_container(path, kind="t", records=("w", "labels"))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_container_rejects_non_finite_records(tmp_path, rng, bad):
+    b = rng.normal(size=(2, 3))
+    b[1, 2] = bad
+    path = tmp_path / "x.bin"
+    write_container(path, {"a": rng.normal(size=4), "b": b}, {"kind": "t"})
+    with pytest.raises(ContainerError, match=f"^{path} record 'b' holds non-finite values$"):
+        read_container(path)
+    # whatever the container's kind
+    save_checkpoint(path, {"w": b})
+    with pytest.raises(ContainerError, match="record 'w' holds non-finite values"):
+        load_checkpoint(path)
+
+
 def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, rng):
     path = tmp_path / "x.bin"
     write_container(path, {"a": rng.normal(size=4)}, {"kind": "t"})

@@ -239,14 +239,44 @@ def test_cfg_sweep(ws):
 def test_cfg_sweep_loads_each_input_once(ws, monkeypatch):
     reads, populations = [], []
     read = signalio.read_container
-    monkeypatch.setattr(
-        signalio, "read_container", lambda path, **kwargs: reads.append(Path(path).name) or read(path, **kwargs)
-    )
+    for module in (signalio, cli):  # cli reads the samples container itself
+        monkeypatch.setattr(
+            module, "read_container", lambda path, **kwargs: reads.append(Path(path).name) or read(path, **kwargs)
+        )
     population = cli.stage2_training_set
     monkeypatch.setattr(cli, "stage2_training_set", lambda *a: populations.append(1) or population(*a))
     assert main(["cfg-sweep", *ws.argv, "--scales", "0,2", "--num", "4"]) == 0
     assert sorted(reads) == ["autoencoder.bin", "dataset.bin", "diffusion.bin"]
     assert len(populations) == 1
+    # eval-gen scores saved samples against the targets: no checkpoint is read
+    reads.clear()
+    assert main(["eval-gen", *ws.argv, "--scale", "2"]) == 0
+    assert sorted(reads) == ["dataset.bin", "scale_2.0.bin"]
+    assert len(populations) == 2
+
+
+def test_eval_gen_needs_only_the_dataset_and_samples(ws, tmp_path):
+    assert main(["sample", *ws.argv, "--scale", "2.0"]) == 0
+    assert main(["eval-gen", *ws.argv, "--scale", "2.0"]) == 0
+    run = tmp_path / "run"
+    shutil.copytree(ws.cfg.resolved_data_dir, run / "data")
+    (run / "samples").mkdir()
+    shutil.copy(ws.cfg.samples_path(2.0), run / "samples")
+    argv = write_config(tmp_path / "config.json", ws.cfg, out_dir=str(run))
+    assert main(["eval-gen", *argv, "--scale", "2.0"]) == 0
+    name = "eval/gen_scale_2.0.csv"
+    assert (run / name).read_bytes() == (Path(ws.cfg.out_dir) / name).read_bytes()
+
+
+def test_stage2_runs_at_a_grid_the_anchors_do_not_divide(ws, tmp_path, capsys):
+    # H = 14 is even, so the config check accepts it, but 14 // (14 // 4) = 4
+    # repeats of 3 coarse rows would give 12 rows
+    run = tmp_path / "run"
+    shutil.copytree(Path(ws.cfg.out_dir) / "stage1", run / "stage1")
+    changes = {"out_dir": str(run), "data_dir": str(ws.cfg.resolved_data_dir), "grid": [2, 14, 4]}
+    argv = write_config(tmp_path / "config.json", ws.cfg, **changes)
+    for command in (["train-stage2"], ["sample", "--scale", "2.0"], ["eval-gen", "--scale", "2.0"]):
+        assert main([*command, *argv]) == 0, capsys.readouterr().err
 
 
 def test_cfg_sweep_refuses_one_sample_before_it_samples(ws, tmp_path, capsys):
@@ -413,6 +443,27 @@ def test_train_rejects_out_of_range_dataset_records(ws, tmp_path, record, value,
     assert main(["train-stage1", *argv]) == 1
     assert_one_error_line(capsys)
     assert not (tmp_path / "stage1").exists()
+
+
+@pytest.mark.parametrize(
+    "command, record",
+    [(["eval-retrieval"], "window_image_emb"), (["train-stage1"], "windows")],
+    ids=["eval-retrieval", "train-stage1"],
+)
+def test_non_finite_dataset_record_exits_1(ws, tmp_path, command, record, capsys):
+    # a corrupt file is named as such, not scored or blamed on training
+    arrays, meta = read_container(ws.cfg.resolved_data_dir / "dataset.bin")
+    arrays[record] = arrays[record].copy()
+    row = int(arrays["test_idx"][0]) if record == "window_image_emb" else int(arrays["train_idx"][0])
+    arrays[record][row].flat[0] = np.nan
+    container = tmp_path / "data" / "dataset.bin"
+    write_container(container, arrays, meta)
+    shutil.copytree(Path(ws.cfg.out_dir) / "stage1", tmp_path / "stage1")
+    argv = write_config(tmp_path / "config.json", ws.cfg, out_dir=str(tmp_path), data_dir=None)
+    capsys.readouterr()
+    assert main([*command, *argv]) == 1
+    assert capsys.readouterr().err == f"error: {container} record {record!r} holds non-finite values\n"
+    assert not (tmp_path / "eval").exists()
 
 
 def test_usage_errors_exit_2(capsys):
