@@ -133,10 +133,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def __repr__(self) -> str:
-        grad = ", grad" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, op={self._op!r}{grad})"
-
     # -- graph construction ------------------------------------------------
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -667,6 +663,23 @@ def upsample2(x) -> Tensor:
 # -- gradient checking -----------------------------------------------------
 
 
+def _central_differences(array: np.ndarray, value: Callable[[], float], epsilon: float) -> np.ndarray:
+    """Central-difference gradient of ``value()`` in every entry of
+    ``array``, which is perturbed in place by ``epsilon`` and restored."""
+    if not (0.0 < epsilon <= 1e-2):
+        raise ValueError(f"epsilon must be in (0, 1e-2], got {epsilon}")
+    numeric = np.zeros_like(array)
+    for i in np.ndindex(array.shape):
+        orig = array[i]
+        array[i] = orig + epsilon
+        hi = value()
+        array[i] = orig - epsilon
+        lo = value()
+        array[i] = orig
+        numeric[i] = (hi - lo) / (2.0 * epsilon)
+    return numeric
+
+
 def grad_check(fn: Callable[[Tensor], Tensor], point, epsilon: float = 1e-5) -> float:
     """Compare analytic and central-difference gradients of a scalar map.
 
@@ -674,8 +687,6 @@ def grad_check(fn: Callable[[Tensor], Tensor], point, epsilon: float = 1e-5) -> 
     input, where ``a`` is the backpropagated gradient and ``n`` the numeric
     one at step ``epsilon``.
     """
-    if not (0.0 < epsilon <= 1e-2):
-        raise ValueError(f"epsilon must be in (0, 1e-2], got {epsilon}")
     base = np.array(point.data if isinstance(point, Tensor) else point, dtype=np.float64)
 
     x = Tensor(base.copy(), requires_grad=True)
@@ -684,18 +695,28 @@ def grad_check(fn: Callable[[Tensor], Tensor], point, epsilon: float = 1e-5) -> 
         raise ShapeError(f"grad_check target must be scalar, got shape {out.shape}")
     out.backward()
     analytic = np.zeros_like(base) if x.grad is None else x.grad.copy()
-
-    numeric = np.zeros_like(base)
-    flat = base.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        hi = float(fn(Tensor(base.copy())).data.reshape(()))
-        flat[i] = orig - epsilon
-        lo = float(fn(Tensor(base.copy())).data.reshape(()))
-        flat[i] = orig
-        num_flat[i] = (hi - lo) / (2.0 * epsilon)
+    numeric = _central_differences(base, lambda: float(fn(Tensor(base.copy())).data.reshape(())), epsilon)
 
     denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
     return float(np.max(np.abs(analytic - numeric) / denom)) if base.size else 0.0
+
+
+def grad_check_params(loss: Callable[[], Tensor], params: dict[str, Tensor], epsilon: float = 1e-5) -> float:
+    """Compare the backpropagated gradient of the scalar ``loss()`` in
+    ``params`` with central differences taken on the parameters' own arrays.
+
+    Returns ``max |a - n| / max(1e-8, max |a| + max |n|)``, each maximum
+    over every entry of every parameter: one score for the whole step
+    gradient, so an entry that is zero in exact arithmetic (a bias before a
+    normalization) cannot turn difference noise into a full error.
+    """
+    for p in params.values():
+        p.grad = None
+    loss().backward()
+    analytic = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel() for p in params.values()])
+    with no_grad():
+        numeric = np.concatenate(
+            [_central_differences(p.data, lambda: float(loss().data.reshape(())), epsilon).ravel() for p in params.values()]
+        )
+    scale = np.max(np.abs(analytic), initial=0.0) + np.max(np.abs(numeric), initial=0.0)
+    return float(np.max(np.abs(analytic - numeric), initial=0.0) / max(1e-8, scale))

@@ -154,6 +154,8 @@ def _load_samples(cfg: RunConfig, scale: float):
     samples, labels = records["samples"], records["labels"]
     if samples.ndim == 0 or labels.shape != samples.shape[:1]:
         raise DataError(f"{path} holds {samples.shape} samples but {labels.shape} labels")
+    if samples.shape[1:] != tuple(cfg.grid):
+        raise DataError(f"{path} holds samples of grid {samples.shape[1:]}, config grid is {tuple(cfg.grid)}")
     if not integers_below(labels, cfg.classes):
         raise DataError(f"{path} record 'labels' must hold integers in [0, {cfg.classes})")
     return samples, labels.astype(int)

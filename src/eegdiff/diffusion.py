@@ -275,7 +275,7 @@ class Stage2Model(Module):
     so the trainable surface is unchanged.
 
     ``schedule`` is the model's one noise schedule: it fixes the velocity
-    head, the training targets of :func:`stage2_train_step` and the
+    head, the training targets of :func:`stage2_step_loss` and the
     timesteps of :func:`sample`.
     """
 
@@ -363,21 +363,15 @@ def class_target_latents(classes: int, grid: tuple[int, int, int], seed: int) ->
     return lat / rms
 
 
-def stage2_train_step(
-    batch: dict,
-    model: Stage2Model,
-    optimizer,
-    rng: np.random.Generator,
-    drop_prob: float = 0.1,
-    gamma: float = 0.5,
-) -> float:
-    """One selective-finetuning step; returns the weighted velocity loss.
+def stage2_step_loss(batch: dict, model: Stage2Model, rng: np.random.Generator, drop_prob: float, gamma: float):
+    """The selective-finetuning objective of one batch: ``(total, terms)``.
 
     ``batch`` carries plain arrays: ``x0`` (B, grid) and ``cond`` latent
     tokens (B, T, D).  Per-sample timesteps, noise, and the
     condition-dropout mask all come from ``rng``; dropped samples get the
     learned null condition.  The loss is ``losses.v_loss`` on
-    ``model.schedule``, the objective the gradient audit checks.
+    ``model.schedule``.  Trained by :func:`stage2_train_step` and checked by
+    the gradient audit.
     """
     schedule = model.schedule
     x0 = np.asarray(batch["x0"], dtype=np.float64)
@@ -392,7 +386,15 @@ def stage2_train_step(
     dropped = Tensor(drop.astype(np.float64).reshape(b, 1, 1))
     cond_used = ad.add(ad.mul(cond, keep), ad.mul(model.null_condition(b), dropped))
     loss = v_loss(Tensor(x0), Tensor(eps), t, cond_used, model.denoise, schedule, gamma)
+    return loss, {"v_loss": loss}
 
+
+def stage2_train_step(
+    batch: dict, model: Stage2Model, optimizer, rng: np.random.Generator, drop_prob: float = 0.1, gamma: float = 0.5
+) -> float:
+    """One selective-finetuning step on :func:`stage2_step_loss`; returns
+    the weighted velocity loss."""
+    loss, _ = stage2_step_loss(batch, model, rng, drop_prob, gamma)
     optimizer.zero_grad()
     loss.backward()
     optimizer.step()

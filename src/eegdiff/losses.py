@@ -4,9 +4,10 @@ Stage 1 combines waveform reconstruction, alignment to per-class text
 embeddings, and a symmetric-free InfoNCE term against paired image
 embeddings.  Stage 2 regresses the velocity parameterization of a diffusion
 process (Salimans & Ho 2022) with an SNR-power weighting: ``v_loss`` is the
-one implementation, trained by ``diffusion.stage2_train_step`` and checked by
-the gradient audit, with per-sample timesteps.  Guided sampling blends
-conditional and unconditional predictions.
+one implementation, with per-sample timesteps.  Each stage's step loss
+(``training.stage1_step_loss``, ``diffusion.stage2_step_loss``) builds its
+objective from these terms; the trainer and the gradient audit both run it.
+Guided sampling blends conditional and unconditional predictions.
 """
 
 from __future__ import annotations

@@ -50,9 +50,6 @@ class Module:
     def params(self) -> dict[str, Tensor]:
         return {name: value for name, value in self._walk() if isinstance(value, Tensor)}
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {name: value for name, value in self._walk() if isinstance(value, np.ndarray)}
-
     def state(self) -> dict[str, np.ndarray]:
         """A copy of every parameter and buffer by record name."""
         return {name: _array(value).copy() for name, value in self._walk()}

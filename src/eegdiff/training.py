@@ -20,10 +20,10 @@ from .diffusion import (
     DenoiserConfig,
     Stage2Model,
     apply_train_mask,
-    build_condition,
     build_schedule,
     class_target_latents,
     selective_finetune_mask,
+    stage2_step_loss,
     stage2_train_step,
 )
 from .encoder import EncoderConfig, SignalAutoencoder, SpatialBlock, TemporalBlock, mean_pool_latent
@@ -405,6 +405,16 @@ def _epochs(cfg: RunConfig, stage: int, epochs: int, order: np.ndarray, minimum:
         yield epoch, {name: total / steps for name, total in sums.items()}
 
 
+def stage1_step_loss(model: SignalAutoencoder, windows, text, images, weights: LossWeights):
+    """The training-mode stage-1 objective of one batch: ``(total, terms)``
+    of ``stage1_loss_terms`` for raw ``windows`` (B, C, S), their class text
+    tokens (B, T, D) and image embeddings (B, D).  Trained by
+    :func:`train_stage1` and checked by the gradient audit."""
+    x = Tensor(windows)
+    z = model.encode_batch(x, training=True)
+    return stage1_loss_terms(x, model.decode_batch(z), z, Tensor(text), mean_pool_latent(z), Tensor(images), weights)
+
+
 def train_stage1(cfg: RunConfig) -> dict:
     """Train the aligned autoencoder; writes a checkpoint and metrics CSV.
 
@@ -425,11 +435,8 @@ def train_stage1(cfg: RunConfig) -> dict:
 
     # The step's tensors are locals, so its graph is freed when it returns.
     def step(chunk, rng):
-        x = Tensor(data.windows[chunk])
-        z = model.encode_batch(x, training=True)
-        total, terms = stage1_loss_terms(
-            x, model.decode_batch(z), z, Tensor(text_by_window[chunk]),
-            mean_pool_latent(z), Tensor(data.window_image_emb[chunk]), weights,
+        total, terms = stage1_step_loss(
+            model, data.windows[chunk], text_by_window[chunk], data.window_image_emb[chunk], weights
         )
         optimizer.zero_grad()
         total.backward()
@@ -642,18 +649,19 @@ def primitive_cases(rng: np.random.Generator) -> dict:
 
 def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
     """Max relative gradient error per audited target over ``seeds`` seeds,
-    each at ``grad_check``'s default step."""
+    each at ``grad_check``'s default step.  ``stage1_loss`` and
+    ``stage2_loss`` run each stage's step loss on the parameters that stage
+    trains, scored by ``grad_check_params`` over the whole step gradient."""
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
     results: list[tuple[str, float]] = []
 
-    def run(name, build):
+    def run(name, build, check=ad.grad_check):
         tag = len(results) + 1  # stable per-target stream key
         worst = 0.0
         for s in range(seeds):
             rng = np.random.default_rng(np.random.SeedSequence([1000 + s, tag]))
-            fn, point = build(rng)
-            worst = max(worst, ad.grad_check(fn, point))
+            worst = max(worst, check(*build(rng)))
         results.append((name, worst))
 
     # primitives: audit each kind, report the worst
@@ -727,18 +735,13 @@ def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
     run("contrastive_loss", build_contrastive)
 
     def build_stage1_loss(rng):
-        target = Tensor(_offset_from_zero(rng.normal(size=(2, 3, 6))))
-        recon = Tensor(_offset_from_zero(rng.normal(size=(2, 3, 6))))
-        text = Tensor(rng.normal(size=(2, 2, 4)))
-        images = Tensor(rng.normal(size=(2, 4)))
-        w = LossWeights()
+        model = SignalAutoencoder(tiny.encoder_config(), rng)
+        text = rng.normal(size=(2, tiny.latent_tokens, tiny.latent_dim))
+        images = rng.normal(size=(2, tiny.latent_dim))
+        windows = rng.normal(size=signal_shape)
+        return (lambda: stage1_step_loss(model, windows, text, images, tiny.loss_weights)[0]), model.params()
 
-        def fn(latent):
-            return stage1_loss_terms(target, recon, latent, text, mean_pool_latent(latent), images, w)[0]
-
-        return fn, rng.normal(size=(2, 2, 4))
-
-    run("stage1_loss", build_stage1_loss)
+    run("stage1_loss", build_stage1_loss, ad.grad_check_params)
 
     def build_adapter(rng):
         model = build_stage2_model(tiny, rng)
@@ -746,19 +749,17 @@ def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
 
     run("adapter", build_adapter)
 
-    def build_vloss(rng):
+    def build_stage2_loss(rng):
         model = build_stage2_model(tiny, rng)
-        noise = Tensor(rng.standard_normal(latent_shape))
-        pooled = Tensor(rng.normal(size=(2, 4)))
-        lat = Tensor(rng.normal(size=(2, 2, 4)))
+        batch = {"x0": rng.standard_normal(latent_shape), "cond": rng.normal(size=(2, tiny.latent_tokens, tiny.latent_dim))}
+        seed = int(rng.integers(1 << 32))  # the same t, noise and dropout draws for every evaluation
 
-        def fn(x0):
-            cond = build_condition(lat, model.adapter(pooled))
-            return v_loss(x0, noise, np.array([2, 7]), cond, model.denoise, model.schedule)
+        def loss():
+            return stage2_step_loss(batch, model, np.random.default_rng(seed), 0.5, tiny.gamma)[0]
 
-        return fn, rng.standard_normal(latent_shape)
+        return loss, apply_train_mask(model, selective_finetune_mask(model))
 
-    run("denoiser_v_loss", build_vloss)
+    run("stage2_loss", build_stage2_loss, ad.grad_check_params)
 
     def build_vloss_plain(rng):
         schedule = build_schedule(10)

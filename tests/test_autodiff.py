@@ -15,16 +15,15 @@ from conftest import tiny_config
 from eegdiff import autodiff as ad
 from eegdiff.autodiff import NonFiniteError, ShapeError, Tensor
 from eegdiff.diffusion import Conv3x3, apply_train_mask, selective_finetune_mask, stage2_train_step
-from eegdiff.encoder import SignalAutoencoder, mean_pool_latent
-from eegdiff.losses import stage1_loss_terms, v_loss
-from eegdiff.training import Adam, RunConfig, build_stage2_model, primitive_cases
+from eegdiff.encoder import SignalAutoencoder
+from eegdiff.losses import v_loss
+from eegdiff.training import Adam, RunConfig, build_stage2_model, gradient_suite, primitive_cases, stage1_step_loss
 
 
 def test_tensor_basics(rng):
     t = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     assert t.shape == (2, 3)
     assert t.ndim == 2
-    assert "Tensor" in repr(t)
 
 
 def test_tensor_casts_to_float64():
@@ -160,15 +159,12 @@ def test_adopted_gradients_match_zero_fill_on_primitives(seed, monkeypatch):
 
 
 def stage1_loss(model: SignalAutoencoder, cfg: RunConfig, rng) -> Tensor:
-    """The training-mode stage-1 loss of one random batch."""
+    """The training-mode stage-1 step loss of one random batch."""
     b = cfg.batch_size
-    x = Tensor(rng.normal(size=(b, cfg.channels, cfg.samples)))
-    z = model.encode_batch(x, training=True)
-    total, _ = stage1_loss_terms(
-        x, model.decode_batch(z), z, Tensor(rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim))),
-        mean_pool_latent(z), Tensor(rng.normal(size=(b, cfg.latent_dim))), cfg.loss_weights,
-    )
-    return total
+    windows = rng.normal(size=(b, cfg.channels, cfg.samples))
+    text = rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim))
+    images = rng.normal(size=(b, cfg.latent_dim))
+    return stage1_step_loss(model, windows, text, images, cfg.loss_weights)[0]
 
 
 def train_three_steps(stage: int) -> dict:
@@ -704,6 +700,31 @@ def test_grad_check_epsilon_validation(rng):
         ad.grad_check(lambda t: ad.sum_(t), x, epsilon=0.0)
     with pytest.raises(ValueError):
         ad.grad_check(lambda t: ad.sum_(t), x, epsilon=1.0)
+
+
+def test_grad_check_params_restores_every_parameter(rng):
+    w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+    x = rng.normal(size=(4, 3))
+    before = (w.data.copy(), b.data.copy())
+    err = ad.grad_check_params(lambda: ad.sum_(ad.sigmoid(ad.linear(x, w, b))), {"w": w, "b": b})
+    assert err < 1e-8
+    assert np.array_equal(w.data, before[0]) and np.array_equal(b.data, before[1])
+    with pytest.raises(ValueError):
+        ad.grad_check_params(lambda: ad.sum_(w), {"w": w}, epsilon=0.0)
+
+
+def test_step_loss_rows_catch_a_linear_weight_gradient_error(monkeypatch):
+    real = ad.linear
+
+    def skewed(x, w, b=None):
+        # an identity node whose VJP scales the weight's gradient by 1.01
+        w = ad.as_tensor(w)
+        return real(x, ad._make(w.data, (w,), (lambda g: 1.01 * g,), "skew"), b)
+
+    monkeypatch.setattr(ad, "linear", skewed)
+    errs = dict(gradient_suite(seeds=2))
+    assert errs["stage1_loss"] > 1e-4 and errs["stage2_loss"] > 1e-4, errs
 
 
 @pytest.mark.parametrize(

@@ -396,9 +396,10 @@ def test_diverging_sampler_exits_1(ws, monkeypatch, capsys):
         {"samples": np.zeros((4, 2, 4, 4)), "labels": np.array([0.0, 99.0, 1.0, 2.0])},
         {"samples": np.zeros((4, 2, 4, 4)), "labels": np.array([0.0, -3.0, 1.0, 2.0])},
         {"samples": np.zeros((4, 2, 4, 4)), "labels": np.array([0.0, 1.5, 1.0, 2.0])},
+        {"samples": np.zeros((4, 4, 2, 4)), "labels": np.zeros(4)},
     ],
     ids=["no-labels", "length-mismatch", "non-finite", "huge-finite",
-         "nan-label", "label-99", "label--3", "label-1.5"],
+         "nan-label", "label-99", "label--3", "label-1.5", "other-grid"],
 )
 def test_eval_gen_rejects_malformed_samples(ws, records, capsys):
     write_container(ws.cfg.samples_path(-3.0), records, {"kind": "samples"})
