@@ -1,7 +1,11 @@
 """Command-line surface: data generation, training, sampling, evaluation.
 
-Every subcommand accepts --config (JSON), --seed, --out, and --data; flags
-override the corresponding config fields.  All outputs are pure functions of
+Every subcommand accepts --config (JSON), --seed, --out, and --data, and the
+sampling commands --scale and --steps; each of these flags overrides one
+config field (``OVERRIDES``), and ``RunConfig.validate`` checks the result
+before the command reads or writes a file.  ``--num`` is a per-call count,
+not a config value: one sample is enough for ``sample``, while a config's
+``num_samples`` must fit a covariance.  All outputs are pure functions of
 (config, seed), so rerunning a command reproduces its files byte for byte.
 
 Exit codes: 0 success, 1 validation or runtime failure, 2 usage error.
@@ -11,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +23,6 @@ from .autodiff import NonFiniteError, ShapeError
 from .diffusion import sample as sample_latents
 from .evaluate import (
     EvalError,
-    RetrievalIndex,
     class_agreement,
     export_embeddings,
     fit_gaussian,
@@ -34,7 +38,6 @@ from .training import (
     TOP_K,
     RunConfig,
     encode_windows,
-    finite_scale,
     generation_conditions,
     gradient_suite,
     load_data,
@@ -47,17 +50,23 @@ from .training import (
 
 GRAD_TOLERANCE = 1e-4
 DEFAULT_SWEEP = "3,5,7,9"
+SCORE_HEADER = ["scale", "agreement", "frechet"]
+
+# (flag, config field): a flag that a command accepts and was given replaces
+# the field's value.
+OVERRIDES = (
+    ("seed", "seed"), ("out", "out_dir"), ("data", "data_dir"),
+    ("scale", "guidance_scale"), ("steps", "sample_steps"),
+)
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
     """The command's run config with its flag overrides, checked once."""
     cfg = RunConfig.from_json(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.data is not None:
-        cfg.data_dir = args.data
+    for flag, name in OVERRIDES:
+        value = getattr(args, flag, None)
+        if value is not None:
+            setattr(cfg, name, value)
     return cfg.validate()
 
 
@@ -80,33 +89,32 @@ def cmd_train_stage2(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _generate(cfg: RunConfig, data, encoder, model, scale: float, steps: int, num: int):
-    """Sample guided latents conditioned on held-out windows of the loaded
-    dataset; returns (samples, labels, container path)."""
-    cond, labels = generation_conditions(cfg, data, encoder, num)
-    samples = sample_latents(model, cond, scale, steps=steps, seed=cfg.seed)
-    path = cfg.samples_path(scale)
+def _generate(cfg: RunConfig, model, cond, labels):
+    """Sample guided latents at ``cfg``'s scale and steps for the
+    ``generation_conditions`` ``cond`` and ``labels``; returns (samples,
+    container path)."""
+    samples = sample_latents(model, cond, cfg.guidance_scale, steps=cfg.sample_steps, seed=cfg.seed)
+    path = cfg.samples_path(cfg.guidance_scale)
     write_container(
         path,
         {"samples": samples, "labels": labels.astype(np.float64)},
         {
             "kind": "samples",
-            "scale": scale,
-            "steps": steps,
+            "scale": cfg.guidance_scale,
+            "steps": cfg.sample_steps,
             "seed": cfg.seed,
             "count": int(len(labels)),
         },
     )
-    return samples, labels, path
+    return samples, path
 
 
 def cmd_sample(args, cfg: RunConfig) -> int:
-    scale = cfg.guidance_scale if args.scale is None else finite_scale(args.scale)
-    steps = cfg.sample_steps if args.steps is None else int(args.steps)
-    num = cfg.num_samples if args.num is None else int(args.num)
-    loaded = load_data(cfg), load_stage1_model(cfg), load_stage2_model(cfg)
-    _, labels, path = _generate(cfg, *loaded, scale, steps, num)
-    print(f"wrote {path} ({len(labels)} samples, scale {format_float(scale)})")
+    num = cfg.num_samples if args.num is None else args.num
+    data, encoder, model = load_data(cfg), load_stage1_model(cfg), load_stage2_model(cfg)
+    cond, labels = generation_conditions(cfg, data, encoder, num)
+    _, path = _generate(cfg, model, cond, labels)
+    print(f"wrote {path} ({len(labels)} samples, scale {format_float(cfg.guidance_scale)})")
     return 0
 
 
@@ -115,13 +123,7 @@ def cmd_eval_retrieval(args, cfg: RunConfig) -> int:
     encoder = load_stage1_model(cfg)
     idx = data.test_idx
     _, pooled = encode_windows(encoder, data.windows[idx])
-    gallery = RetrievalIndex(data.window_image_emb[idx], labels=data.labels[idx])
-    rows = [
-        ["label_top1", topk_retrieval(pooled, gallery, 1, mode="label")],
-        ["label_top5", topk_retrieval(pooled, gallery, TOP_K, mode="label")],
-        ["image_top1", topk_retrieval(pooled, gallery, 1, mode="image")],
-        ["image_top5", topk_retrieval(pooled, gallery, TOP_K, mode="image")],
-    ]
+    rows = list(topk_retrieval(pooled, data.window_image_emb[idx], data.labels[idx], (1, TOP_K)).items())
     out = write_csv(cfg.eval_dir / "retrieval.csv", ["metric", "value"], rows)
     emb = export_embeddings(pooled, data.labels[idx], cfg.eval_dir / "test_embeddings.csv")
     for name, value in rows:
@@ -137,19 +139,21 @@ def _real_population(cfg: RunConfig, data):
     return real["anchors"], fit_gaussian(real["x0"].reshape(len(real["x0"]), -1))
 
 
-def _gen_metrics(samples: np.ndarray, labels: np.ndarray, real):
-    """Class agreement against target anchors and Fréchet distance against
-    the real population of :func:`_real_population`."""
+def _scored_row(cfg: RunConfig, samples: np.ndarray, labels: np.ndarray, real) -> list:
+    """Printed and returned ``[scale, agreement, frechet]`` of samples drawn
+    at ``cfg``'s guidance scale: class agreement against target anchors and
+    Fréchet distance against the real population of :func:`_real_population`."""
     anchors, real_stats = real
     agree = class_agreement(samples, labels, anchors)
-    gen_stats = fit_gaussian(np.asarray(samples).reshape(len(samples), -1))
-    return agree, frechet_distance(gen_stats, real_stats)
+    fd = frechet_distance(fit_gaussian(np.asarray(samples).reshape(len(samples), -1)), real_stats)
+    print(f"scale {format_float(cfg.guidance_scale)} agreement {format_float(agree)} frechet {format_float(fd)}")
+    return [cfg.guidance_scale, agree, fd]
 
 
-def _load_samples(cfg: RunConfig, scale: float):
-    path = cfg.samples_path(scale)
+def _load_samples(cfg: RunConfig):
+    path = cfg.samples_path(cfg.guidance_scale)
     if not path.exists():
-        raise DataError(f"no samples at {path}; run `sample --scale {format_float(scale)}` first")
+        raise DataError(f"no samples at {path}; run `sample --scale {format_float(cfg.guidance_scale)}` first")
     records, _ = read_container(path, kind="samples", records=("samples", "labels"))
     samples, labels = records["samples"], records["labels"]
     if samples.ndim == 0 or labels.shape != samples.shape[:1]:
@@ -162,39 +166,29 @@ def _load_samples(cfg: RunConfig, scale: float):
 
 
 def cmd_eval_gen(args, cfg: RunConfig) -> int:
-    scale = cfg.guidance_scale if args.scale is None else finite_scale(args.scale)
-    samples, labels = _load_samples(cfg, scale)
-    agree, fd = _gen_metrics(samples, labels, _real_population(cfg, load_data(cfg)))
-    out = write_csv(
-        cfg.eval_dir / f"gen_scale_{format_float(scale)}.csv",
-        ["scale", "agreement", "frechet"],
-        [[scale, agree, fd]],
-    )
-    print(f"scale {format_float(scale)} agreement {format_float(agree)} frechet {format_float(fd)}")
+    samples, labels = _load_samples(cfg)
+    row = _scored_row(cfg, samples, labels, _real_population(cfg, load_data(cfg)))
+    out = write_csv(cfg.eval_dir / f"gen_scale_{format_float(cfg.guidance_scale)}.csv", SCORE_HEADER, [row])
     print(f"wrote {out}")
     return 0
 
 
 def cmd_cfg_sweep(args, cfg: RunConfig) -> int:
     try:
-        scales = [finite_scale(float(s)) for s in args.scales.split(",") if s.strip()]
+        scales = [float(s) for s in args.scales.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --scales value {args.scales!r}: {exc}") from exc
     if not scales:
         raise ConfigError("--scales must name at least one scale")
-    steps = cfg.sample_steps if args.steps is None else int(args.steps)
-    num = cfg.num_samples if args.num is None else int(args.num)
+    runs = [replace(cfg, guidance_scale=scale).validate() for scale in scales]
+    num = cfg.num_samples if args.num is None else args.num
     if num < 2:
         raise ConfigError(f"cfg-sweep needs at least 2 samples per scale to fit their covariance, got {num}")
     data, encoder, model = load_data(cfg), load_stage1_model(cfg), load_stage2_model(cfg)
     real = _real_population(cfg, data)
-    rows = []
-    for scale in scales:
-        samples, labels, _ = _generate(cfg, data, encoder, model, scale, steps, num)
-        agree, fd = _gen_metrics(samples, labels, real)
-        rows.append([scale, agree, fd])
-        print(f"scale {format_float(scale)} agreement {format_float(agree)} frechet {format_float(fd)}")
-    out = write_csv(cfg.eval_dir / "cfg_sweep.csv", ["scale", "agreement", "frechet"], rows)
+    cond, labels = generation_conditions(cfg, data, encoder, num)
+    rows = [_scored_row(run, _generate(run, model, cond, labels)[0], labels, real) for run in runs]
+    out = write_csv(cfg.eval_dir / "cfg_sweep.csv", SCORE_HEADER, rows)
     print(f"wrote {out}")
     return 0
 

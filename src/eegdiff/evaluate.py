@@ -26,46 +26,32 @@ def _cos_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a @ b.T) / ((na + EPS) * (nb.T + EPS))
 
 
-@dataclass
-class RetrievalIndex:
-    """Gallery for paired retrieval: item i is the target of query i."""
+def topk_retrieval(queries, gallery, labels, ks) -> dict[str, float]:
+    """Top-k retrieval hit rates of paired queries over the whole gallery.
 
-    embeddings: np.ndarray  # (N, D)
-    labels: np.ndarray  # (N,)
-
-    def __post_init__(self):
-        self.embeddings = np.asarray(self.embeddings, dtype=np.float64)
-        self.labels = np.asarray(self.labels)
-        if self.embeddings.ndim != 2 or len(self.labels) != len(self.embeddings):
-            raise EvalError("index needs (N, D) embeddings and N labels")
-
-
-def topk_retrieval(queries, index: RetrievalIndex, k: int, mode: str = "label") -> float:
-    """Fraction of queries whose top-k retrieval over the whole gallery is a hit.
-
-    Query i is paired with gallery item i.  ``mode`` is ``image`` (the paired
-    item itself must appear in the top k) or ``label`` (any retrieved item
-    with the query's class counts).  Ties in similarity break toward the
-    smaller gallery index.
+    Query i is paired with gallery item i, whose class is ``labels[i]``.
+    Returns ``label_top{k}`` (any retrieved item with the query's class
+    counts) for each k in ``ks``, then ``image_top{k}`` (the paired item
+    itself must appear in the top k): the fraction of queries with a hit.
+    Ties in similarity break toward the smaller gallery index.
     """
     queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[0] != index.embeddings.shape[0]:
-        raise EvalError(
-            f"queries {queries.shape} must pair 1:1 with the gallery {index.embeddings.shape}"
-        )
-    if mode not in ("image", "label"):
-        raise EvalError(f"mode must be 'image' or 'label', got {mode!r}")
+    gallery = np.asarray(gallery, dtype=np.float64)
+    labels = np.asarray(labels)
+    if gallery.ndim != 2 or len(labels) != len(gallery):
+        raise EvalError("the gallery needs (N, D) embeddings and N labels")
+    if queries.ndim != 2 or queries.shape[0] != gallery.shape[0]:
+        raise EvalError(f"queries {queries.shape} must pair 1:1 with the gallery {gallery.shape}")
     n = queries.shape[0]
-    if not (1 <= k <= n):
-        raise EvalError(f"k={k} outside [1, {n}] for a gallery of {n}")
+    for k in ks:
+        if not (1 <= k <= n):
+            raise EvalError(f"k={k} outside [1, {n}] for a gallery of {n}")
 
-    # A stable sort of -similarity keeps tied items in ascending index order.
-    top = np.argsort(-_cos_matrix(queries, index.embeddings), axis=1, kind="stable")[:, :k]
-    if mode == "image":
-        hits = top == np.arange(n)[:, None]
-    else:
-        hits = index.labels[top] == index.labels[:, None]
-    return int(hits.any(axis=1).sum()) / n
+    # A stable sort of -similarity keeps tied items in ascending index order,
+    # so each k's top k is a prefix of the top max(ks).
+    top = np.argsort(-_cos_matrix(queries, gallery), axis=1, kind="stable")[:, : max(ks)]
+    hits = {"label": labels[top] == labels[:, None], "image": top == np.arange(n)[:, None]}
+    return {f"{mode}_top{k}": int(hits[mode][:, :k].any(axis=1).sum()) / n for mode in hits for k in ks}
 
 
 # -- distribution distance ----------------------------------------------------

@@ -27,7 +27,7 @@ from .diffusion import (
     stage2_train_step,
 )
 from .encoder import EncoderConfig, SignalAutoencoder, SpatialBlock, TemporalBlock, mean_pool_latent
-from .evaluate import RetrievalIndex, topk_retrieval
+from .evaluate import topk_retrieval
 from .losses import (
     LossWeights,
     contrastive_loss,
@@ -203,7 +203,8 @@ class RunConfig:
             raise ConfigError(
                 f"sample_steps must lie in [1, {self.schedule_steps}], got {self.sample_steps}"
             )
-        finite_scale(self.guidance_scale)
+        if not math.isfinite(self.guidance_scale):
+            raise ConfigError(f"guidance_scale must be finite, got {self.guidance_scale}")
         try:
             n_val, n_test = split_sizes(self.per_class, self.val_frac, self.test_frac)
         except DataError as exc:
@@ -339,13 +340,6 @@ def _check_scored_splits(whose: str, val: int, test: int) -> None:
             )
 
 
-def finite_scale(scale: float) -> float:
-    """``scale`` itself; a NaN or infinite guidance scale raises ConfigError."""
-    if not math.isfinite(scale):
-        raise ConfigError(f"guidance scale must be finite, got {scale}")
-    return scale
-
-
 def _map_no_grad(fn, rows: np.ndarray) -> np.ndarray:
     """``fn`` over chunks of 32 rows without building a graph, concatenated."""
     with ad.no_grad():
@@ -463,10 +457,8 @@ def evaluate_stage1(model: SignalAutoencoder, data: Dataset, weights: LossWeight
     dice_values = [
         1.0 - float(sdsc_loss(Tensor(w), Tensor(r)).data) for w, r in zip(windows, recon)
     ]
-    gallery = RetrievalIndex(data.window_image_emb[idx], labels=data.labels[idx])
-    top1 = topk_retrieval(pooled, gallery, 1, mode="label")
-    top5 = topk_retrieval(pooled, gallery, TOP_K, mode="label")
-    return {"mse": mse, "dice": float(np.mean(dice_values)), "top1": top1, "top5": top5}
+    top = topk_retrieval(pooled, data.window_image_emb[idx], data.labels[idx], (1, TOP_K))
+    return {"mse": mse, "dice": float(np.mean(dice_values)), "top1": top["label_top1"], "top5": top[f"label_top{TOP_K}"]}
 
 
 # The config fields that shape each stage's model (or, for stage 2, its

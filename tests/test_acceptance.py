@@ -32,7 +32,6 @@ from eegdiff.diffusion import (
 from eegdiff.encoder import EncoderConfig, SignalAutoencoder
 from eegdiff.evaluate import (
     GaussianStats,
-    RetrievalIndex,
     class_agreement,
     fit_gaussian,
     frechet_distance,
@@ -328,10 +327,9 @@ def test_criterion_10_retrieval_chance_oracle():
     ks = (1, 2, 5, 10)
     accs = np.zeros((trials, len(ks)))
     for trial in range(trials):
-        index = RetrievalIndex(rng.normal(size=(n, 12)), labels=np.arange(n))
-        queries = rng.normal(size=(n, 12))
-        for j, k in enumerate(ks):
-            accs[trial, j] = topk_retrieval(queries, index, k, mode="image")
+        gallery = rng.normal(size=(n, 12))
+        top = topk_retrieval(rng.normal(size=(n, 12)), gallery, np.arange(n), ks)
+        accs[trial] = [top[f"image_top{k}"] for k in ks]
     monotone = bool(np.all(np.diff(accs, axis=1) >= 0.0))
     chance = np.array(ks) / n
     dev = np.abs(accs.mean(axis=0) - chance)

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from conftest import tiny_config
 from eegdiff import autodiff as ad
 from eegdiff.autodiff import NonFiniteError, ShapeError, Tensor
-from eegdiff.diffusion import Conv3x3, apply_train_mask, selective_finetune_mask, stage2_train_step
+from eegdiff.diffusion import Conv3x3, apply_train_mask, selective_finetune_mask, stage2_step_loss, stage2_train_step
 from eegdiff.encoder import SignalAutoencoder
 from eegdiff.losses import v_loss
 from eegdiff.training import Adam, RunConfig, build_stage2_model, gradient_suite, primitive_cases, stage1_step_loss
@@ -714,7 +714,8 @@ def test_grad_check_params_restores_every_parameter(rng):
         ad.grad_check_params(lambda: ad.sum_(w), {"w": w}, epsilon=0.0)
 
 
-def test_step_loss_rows_catch_a_linear_weight_gradient_error(monkeypatch):
+def skew_linear_weight_gradient(monkeypatch):
+    """Patch ``autodiff.linear`` so its weight gradient comes out 1 % too large."""
     real = ad.linear
 
     def skewed(x, w, b=None):
@@ -723,8 +724,78 @@ def test_step_loss_rows_catch_a_linear_weight_gradient_error(monkeypatch):
         return real(x, ad._make(w.data, (w,), (lambda g: 1.01 * g,), "skew"), b)
 
     monkeypatch.setattr(ad, "linear", skewed)
+
+
+def test_step_loss_rows_catch_a_linear_weight_gradient_error(monkeypatch):
+    skew_linear_weight_gradient(monkeypatch)
     errs = dict(gradient_suite(seeds=2))
     assert errs["stage1_loss"] > 1e-4 and errs["stage2_loss"] > 1e-4, errs
+
+
+def default_size_step_loss(stage: int):
+    """(loss, trained parameters) of one stage's step loss on a batch of the
+    default ``RunConfig``: every stage-1 parameter, or the masked stage-2
+    ones with the same timestep, noise and dropout draws at every call."""
+    cfg = RunConfig()
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stage]))
+    b = cfg.batch_size
+    tokens = rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim))  # class text, or condition latents
+    if stage == 1:
+        model = SignalAutoencoder(cfg.encoder_config(), rng)
+        windows, images = rng.normal(size=(b, cfg.channels, cfg.samples)), rng.normal(size=(b, cfg.latent_dim))
+        return (lambda: stage1_step_loss(model, windows, tokens, images, cfg.loss_weights)[0]), model.params()
+    model = build_stage2_model(cfg, rng)
+    batch = {"x0": rng.standard_normal((b,) + cfg.grid), "cond": tokens}
+
+    def loss():
+        # drop_prob 0.5 sends samples through both the condition and the null condition
+        return stage2_step_loss(batch, model, np.random.default_rng(5), 0.5, cfg.gamma)[0]
+
+    return loss, apply_train_mask(model, selective_finetune_mask(model))
+
+
+def directional_error(loss, params: dict, directions: int = 3, epsilon: float = 1e-5) -> float:
+    """``(L(θ+εu) − L(θ−εu)) / 2ε`` against ``⟨∇L, u⟩`` over seeded unit
+    directions ``u`` of all of ``params``, scored like ``grad_check_params``:
+    ``max |a − n| / (max |a| + max |n|)`` over the directions, so a direction
+    nearly orthogonal to the gradient cannot turn rounding into a full error."""
+    for p in params.values():
+        p.grad = None
+    loss().backward()
+    grad = np.concatenate([np.zeros(p.data.size) if p.grad is None else p.grad.ravel() for p in params.values()])
+    theta = np.concatenate([p.data.ravel() for p in params.values()])
+
+    def loss_at(point):
+        offsets = np.cumsum([0] + [p.data.size for p in params.values()])
+        for p, lo, hi in zip(params.values(), offsets, offsets[1:]):
+            p.data[...] = point[lo:hi].reshape(p.data.shape)
+        with ad.no_grad():
+            return float(loss().data)
+
+    rng = np.random.default_rng(0)
+    analytic, numeric = np.zeros(directions), np.zeros(directions)
+    for i in range(directions):
+        u = rng.standard_normal(theta.size)
+        u /= np.linalg.norm(u)
+        analytic[i] = grad @ u
+        numeric[i] = (loss_at(theta + epsilon * u) - loss_at(theta - epsilon * u)) / (2.0 * epsilon)
+    loss_at(theta)
+    return float(np.abs(analytic - numeric).max() / (np.abs(analytic).max() + np.abs(numeric).max()))
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_directional_gradient_at_default_sizes(stage):
+    # the default sizes reach code the tiny audit config does not: the
+    # multi-block conv3x3 path and the slice-wise linear weight gradient
+    loss, params = default_size_step_loss(stage)
+    assert directional_error(loss, params) < 1e-6
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_directional_gradient_catches_a_linear_weight_gradient_error(stage, monkeypatch):
+    skew_linear_weight_gradient(monkeypatch)
+    loss, params = default_size_step_loss(stage)
+    assert directional_error(loss, params) > 1e-4
 
 
 @pytest.mark.parametrize(

@@ -78,3 +78,40 @@ def test_spread_of_one_value_and_of_none():
     assert bench_pair.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == {
         "runs": [1.0, 2.0, 3.0, 4.0, 5.0], "median": 3.0, "q1": 2.0, "q3": 4.0,
     }
+
+
+def ratio_runs(ratios):
+    """Pairs whose parent reads 1.0 on both metrics and whose change reads
+    ``ratio``, so each pair's change/parent ratio is ``ratio`` exactly."""
+    return {"w": [pair(side(items_per_s=1.0, peak_rss_mb=1.0), side(items_per_s=r, peak_rss_mb=r)) for r in ratios]}
+
+
+def test_sign_test_p_of_ten_wins_and_of_an_even_split():
+    ten = bench_pair.report(ratio_runs([1.1 + 0.01 * i for i in range(10)]), METRICS)["w"]
+    assert ten["items_per_s"]["change_wins"] == 10 and ten["items_per_s"]["sign_test_p"] == 2 / 1024
+    assert ten["peak_rss_mb"]["change_wins"] == 0 and ten["peak_rss_mb"]["sign_test_p"] == 2 / 1024
+    even = bench_pair.report(ratio_runs([1.1] * 5 + [0.9] * 5), METRICS)["w"]["items_per_s"]
+    assert even["change_wins"] == 5 and even["sign_test_p"] == 1.0
+
+
+def test_sign_test_counts_ties_for_neither_side():
+    # 6 wins, 0 losses and 4 ties: the test sees 6 pairs
+    row = bench_pair.report(ratio_runs([1.2] * 6 + [1.0] * 4), METRICS)["w"]["items_per_s"]
+    assert row["change_wins"] == 6 and row["sign_test_p"] == 2 / 64
+    ties = bench_pair.report(ratio_runs([1.0] * 10), METRICS)["w"]["items_per_s"]
+    assert ties["sign_test_p"] == 1.0
+
+
+def test_ratio_interval_of_ten_pairs_is_the_2nd_and_9th_ratio():
+    ratios = [1.05, 0.91, 1.3, 0.97, 1.12, 0.88, 1.01, 1.2, 0.95, 1.08]
+    row = bench_pair.report(ratio_runs(ratios), METRICS)["w"]["items_per_s"]
+    ordered = sorted(ratios)
+    assert row["ratio_interval"] == [ordered[1], ordered[8]]
+    assert row["ratio_median"] == (ordered[4] + ordered[5]) / 2
+
+
+def test_ratio_interval_needs_six_pairs():
+    assert bench_pair.median_interval([0.9, 1.0, 1.1, 1.2, 1.3]) is None
+    assert bench_pair.median_interval([1.3, 0.9, 1.0, 1.1, 1.2, 1.4]) == [0.9, 1.4]
+    row = bench_pair.report(ratio_runs([]), METRICS)["w"]["items_per_s"]
+    assert row["ratio_median"] is None and row["ratio_interval"] is None and row["sign_test_p"] == 1.0

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from eegdiff.evaluate import (
     EvalError,
     GaussianStats,
-    RetrievalIndex,
+    _cos_matrix,
     class_agreement,
     export_embeddings,
     fit_gaussian,
@@ -24,51 +24,64 @@ def unit_rows(x):
 
 def test_perfect_retrieval(rng):
     emb = unit_rows(rng.normal(size=(6, 8)))
-    index = RetrievalIndex(emb, labels=np.arange(6))
-    assert topk_retrieval(emb, index, 1, mode="image") == 1.0
-    assert topk_retrieval(emb, index, 1, mode="label") == 1.0
+    assert topk_retrieval(emb, emb, np.arange(6), (1,)) == {"label_top1": 1.0, "image_top1": 1.0}
 
 
 def test_label_mode_accepts_same_class(rng):
     gallery = np.array([[1.0, 0.0], [0.99, 0.01], [0.0, 1.0], [0.0, 0.9]])
     labels = np.array([0, 0, 1, 1])
     queries = gallery[[1, 0, 3, 2]]
-    index = RetrievalIndex(gallery, labels=labels)
-    assert topk_retrieval(queries, index, 1, mode="label") == 1.0
-    assert topk_retrieval(queries, index, 1, mode="image") < 1.0
+    top = topk_retrieval(queries, gallery, labels, (1,))
+    assert top["label_top1"] == 1.0
+    assert top["image_top1"] < 1.0
 
 
 def test_tie_break_prefers_smaller_id():
     gallery = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     queries = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     labels = np.array([0, 1, 2])
-    index = RetrievalIndex(gallery, labels=labels)
     # query 1 ties between ids 0 and 1; the tie goes to id 0, a miss in image mode
-    assert topk_retrieval(queries, index, 1, mode="image") == pytest.approx(2 / 3)
+    assert topk_retrieval(queries, gallery, labels, (1,))["image_top1"] == pytest.approx(2 / 3)
 
 
 def test_retrieval_validation(rng):
     emb = rng.normal(size=(4, 3))
-    index = RetrievalIndex(emb, labels=np.zeros(4))
+    labels = np.zeros(4)
     with pytest.raises(EvalError):
-        topk_retrieval(emb, index, 0)
+        topk_retrieval(emb, emb, labels, (1, 0))  # each k is checked
     with pytest.raises(EvalError):
-        topk_retrieval(emb, index, 5)
+        topk_retrieval(emb, emb, labels, (5,))
     with pytest.raises(EvalError):
-        topk_retrieval(emb, index, 1, mode="bogus")
+        topk_retrieval(rng.normal(size=(3, 3)), emb, labels, (1,))
     with pytest.raises(EvalError):
-        topk_retrieval(rng.normal(size=(3, 3)), index, 1)
+        topk_retrieval(emb, emb, np.zeros(3), (1,))
+    with pytest.raises(EvalError):
+        topk_retrieval(emb, emb[0], labels, (1,))
+
+
+def reference_topk(queries, gallery, labels, k, mode):
+    """One (k, mode) scored from its own sort: the per-call form that
+    ``topk_retrieval`` folds into one sort."""
+    top = np.argsort(-_cos_matrix(queries, gallery), axis=1, kind="stable")[:, :k]
+    own = np.arange(len(queries))[:, None]
+    hits = top == own if mode == "image" else labels[top] == labels[own]
+    return hits.any(axis=1).mean()
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=15, deadline=None)
 def test_topk_monotone_in_k(seed):
     g = np.random.default_rng(seed)
-    queries = g.normal(size=(12, 5))
-    index = RetrievalIndex(g.normal(size=(12, 5)), labels=g.integers(0, 3, size=12))
-    accs = [topk_retrieval(queries, index, k, mode="label") for k in (1, 3, 6, 12)]
-    assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
-    assert accs[-1] == 1.0
+    queries, gallery = g.normal(size=(12, 5)), g.normal(size=(12, 5))
+    labels = g.integers(0, 3, size=12)
+    ks = (1, 3, 6, 12)
+    top = topk_retrieval(queries, gallery, labels, ks)
+    assert list(top) == [f"{mode}_top{k}" for mode in ("label", "image") for k in ks]
+    for mode in ("label", "image"):
+        accs = [top[f"{mode}_top{k}"] for k in ks]
+        assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
+        assert accs[-1] == 1.0
+        assert accs == [reference_topk(queries, gallery, labels, k, mode) for k in ks]
 
 
 # -- frechet ---------------------------------------------------------------------

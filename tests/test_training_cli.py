@@ -367,6 +367,22 @@ def test_nonfinite_scale_exits_1(ws, argv, capsys):
     assert sorted(samples.glob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sample", "--steps", "0"], "sample_steps"),
+        (["cfg-sweep", "--steps", "999"], "sample_steps"),
+        (["cfg-sweep", "--scales", "1,nan"], "guidance_scale"),
+    ],
+)
+def test_sampling_overrides_are_checked_before_any_file(tmp_path, argv, field, capsys):
+    # an empty run directory: a check after the first read would report the missing dataset
+    assert main([*argv, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nonfinite_config_scale_exits_1(ws, tmp_path, capsys):
     argv = write_config(tmp_path / "config.json", ws.cfg, guidance_scale=float("inf"))
     capsys.readouterr()

@@ -13,9 +13,12 @@ the sha256 of everything the run wrote.
 
 The JSON written to ``--out`` (default stdout) holds, per workload and
 end-to-end metric of the change's ``BENCHMARK.json``, each side's per-run
-values, median and quartiles, and the number of pairs in which the change is
-better; per workload, whether both sides wrote the same outputs in every
-pair.  The exit code is 1 if any run reports ``failed > 0`` or exits
+values, median and quartiles, the number of pairs in which the change is
+better, and paired statistics over the pairs where both sides reported: the
+median change/parent ratio, a distribution-free interval of at least 95 %
+for it, and the exact two-sided sign-test p-value of the wins (ties count
+for neither side); per workload, whether both sides wrote the same outputs
+in every pair.  The exit code is 1 if any run reports ``failed > 0`` or exits
 non-zero, else 0.
 """
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -56,8 +60,28 @@ def spread(values: list[float]) -> dict:
     return {"runs": values, "median": statistics.median(values) if values else None, "q1": q1, "q3": q3}
 
 
+def median_interval(values: list[float]) -> list[float] | None:
+    """``[v(j), v(n-j+1)]`` of the sorted values for the largest ``j`` with
+    ``2 P(Bin(n, 1/2) <= j-1) <= 0.05``: an order-statistic interval that
+    covers the median with at least 95 % probability (the sign-test
+    interval).  None when no ``j`` qualifies, which is when ``n < 6``."""
+    n, ordered = len(values), sorted(values)
+    j = 0
+    # 2 P(Bin(n, 1/2) <= j) <= 1/20, in integers
+    while j < n and 40 * sum(math.comb(n, i) for i in range(j + 1)) <= 2**n:
+        j += 1
+    return [ordered[j - 1], ordered[n - j]] if j else None
+
+
+def sign_test_p(wins: int, losses: int) -> float:
+    """Exact two-sided sign-test p-value of ``wins`` against ``losses``."""
+    n = wins + losses
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(min(wins, losses) + 1)) / 2**n)
+
+
 def report(runs: dict, metrics: list[dict]) -> dict:
-    """Per workload and metric, both sides' spreads and the change's wins."""
+    """Per workload and metric, both sides' spreads, the change's wins and
+    the paired statistics of the change/parent ratios."""
     out = {}
     for workload, pairs in runs.items():
         table = {}
@@ -66,12 +90,17 @@ def report(runs: dict, metrics: list[dict]) -> dict:
             values = {side: [pair[side]["summary"]["metrics"].get(name, {}).get("value") for pair in pairs]
                       for side in SIDES}
             complete = [(p, c) for p, c in zip(values["parent"], values["change"]) if None not in (p, c)]
+            wins = sum(sign * (c - p) > 0 for p, c in complete)
+            ratios = [c / p for p, c in complete if p]
             table[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
                 **{side: spread([v for v in values[side] if v is not None]) for side in SIDES},
-                "change_wins": sum(sign * (c - p) > 0 for p, c in complete),
+                "change_wins": wins,
                 "pairs": len(complete),
+                "ratio_median": statistics.median(ratios) if ratios else None,
+                "ratio_interval": median_interval(ratios),
+                "sign_test_p": sign_test_p(wins, sum(sign * (c - p) < 0 for p, c in complete)),
             }
         digests = [(pair["parent"]["digest"], pair["change"]["digest"]) for pair in pairs]
         table["digests_equal"] = all(p is not None and p == c for p, c in digests)

@@ -35,6 +35,7 @@ run train-stage2
 run sample --scale 7.5
 run sample --scale 0
 run sample --scale 1 --num 1
+run sample --scale 4 --steps 7 --num 3
 run eval-gen --scale 7.5
 run cfg-sweep --scales 2,3 --num 8
 run eval-retrieval
