@@ -4,9 +4,10 @@ Every subcommand accepts --config (JSON), --seed, --out, and --data, and the
 sampling commands --scale and --steps; each of these flags overrides one
 config field (``OVERRIDES``), and ``RunConfig.validate`` checks the result
 before the command reads or writes a file.  ``--num`` is a per-call count,
-not a config value: one sample is enough for ``sample``, while a config's
-``num_samples`` must fit a covariance.  All outputs are pure functions of
-(config, seed), so rerunning a command reproduces its files byte for byte.
+not a config value, also checked before any file is read: one sample is
+enough for ``sample``, while a config's ``num_samples`` must fit a
+covariance.  All outputs are pure functions of (config, seed), so rerunning
+a command reproduces its files byte for byte.
 
 Exit codes: 0 success, 1 validation or runtime failure, 2 usage error.
 """
@@ -111,6 +112,8 @@ def _generate(cfg: RunConfig, model, cond, labels):
 
 def cmd_sample(args, cfg: RunConfig) -> int:
     num = cfg.num_samples if args.num is None else args.num
+    if num < 1:
+        raise ConfigError(f"--num must be at least 1, got {num}")
     data, encoder, model = load_data(cfg), load_stage1_model(cfg), load_stage2_model(cfg)
     cond, labels = generation_conditions(cfg, data, encoder, num)
     _, path = _generate(cfg, model, cond, labels)
@@ -180,7 +183,9 @@ def cmd_cfg_sweep(args, cfg: RunConfig) -> int:
         raise ConfigError(f"bad --scales value {args.scales!r}: {exc}") from exc
     if not scales:
         raise ConfigError("--scales must name at least one scale")
-    runs = [replace(cfg, guidance_scale=scale).validate() for scale in scales]
+    # one run per samples file name, so a repeated scale is drawn once
+    distinct = {format_float(scale): scale for scale in scales}
+    runs = [replace(cfg, guidance_scale=scale).validate() for scale in distinct.values()]
     num = cfg.num_samples if args.num is None else args.num
     if num < 2:
         raise ConfigError(f"cfg-sweep needs at least 2 samples per scale to fit their covariance, got {num}")

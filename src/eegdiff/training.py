@@ -1,8 +1,11 @@
-"""Run configuration, optimizer, training loops, and the gradient audit.
+"""Run configuration, optimizer, the trainer of both stages, and the gradient audit.
 
-Both stages are fully seeded: parameter init, epoch shuffles, timestep and
-noise draws, and condition dropout each consume dedicated
-``SeedSequence([seed, tag, ...])`` streams, so reruns are byte-identical.
+Both stages run through one trainer, which owns the Adam over the trained
+parameters, the seeded epochs, the metrics CSV and the checkpoint; a stage
+brings its model, its parameters and its step.  Both are fully seeded:
+parameter init, epoch shuffles, timestep and noise draws, and condition
+dropout each consume dedicated ``SeedSequence([seed, tag, ...])`` streams,
+so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -370,14 +373,31 @@ def load_data(cfg: RunConfig) -> Dataset:
     return data
 
 
-def _epochs(cfg: RunConfig, stage: int, epochs: int, order: np.ndarray, minimum: int, step):
-    """Seeded epochs of ``step(chunk, rng)``; yields (epoch, mean of each loss term).
+def _stage_settings(cfg: RunConfig, stage: int) -> tuple[Path, Path, int, float]:
+    """The stage's checkpoint path, metrics path, epochs and learning rate."""
+    if stage == 1:
+        return cfg.stage1_checkpoint, cfg.stage1_metrics, cfg.epochs_stage1, cfg.lr_stage1
+    return cfg.stage2_checkpoint, cfg.stage2_metrics, cfg.epochs_stage2, cfg.lr_stage2
 
-    Epoch ``e`` shuffles the indices ``order`` with the stream
-    ``[seed, 10 * stage + 2, e]``, which ``step`` draws from too, and skips
-    batches under ``minimum`` indices.  A ``NonFiniteError`` in ``step``
-    becomes a ``RuntimeError`` naming the stage, epoch and step.
+
+def _train(cfg: RunConfig, stage: int, model, trainable, order: np.ndarray, minimum: int, step, validate=None, **meta):
+    """Train ``trainable``, parameters of ``model``, as stage ``stage``; then
+    write the stage's metrics CSV and checkpoint.
+
+    One ``Adam`` at the stage's learning rate trains ``trainable``.  Epoch
+    ``e`` shuffles the indices ``order`` with the stream
+    ``[seed, 10 * stage + 2, e]`` and runs ``step(chunk, rng, optimizer)``,
+    which draws from that stream too and returns its loss terms, on each
+    batch of at least ``minimum`` indices.  A ``NonFiniteError`` in ``step``
+    becomes a ``RuntimeError`` naming the stage, epoch and step, and nothing
+    is written.  Each epoch's metrics are the mean of each term, then the
+    ``val_*`` values of ``validate()``.  The checkpoint's meta holds the
+    stage, epochs and config that :func:`_load_checkpoint_into` checks, plus
+    ``meta``.
     """
+    checkpoint, metrics, epochs, lr = _stage_settings(cfg, stage)
+    optimizer = Adam(trainable, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+    rows = []
     for epoch in range(epochs):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 10 * stage + 2, epoch]))
         perm = rng.permutation(order)
@@ -388,15 +408,18 @@ def _epochs(cfg: RunConfig, stage: int, epochs: int, order: np.ndarray, minimum:
             if len(chunk) < minimum:
                 continue
             try:
-                terms = step(chunk, rng)
+                terms = step(chunk, rng, optimizer)
             except NonFiniteError as exc:
-                raise RuntimeError(
-                    f"stage {stage} diverged at epoch {epoch}, step {steps}: {exc}"
-                ) from exc
+                raise RuntimeError(f"stage {stage} diverged at epoch {epoch}, step {steps}: {exc}") from exc
             for name, value in terms.items():
                 sums[name] = sums.get(name, 0.0) + value
             steps += 1
-        yield epoch, {name: total / steps for name, total in sums.items()}
+        rows += [[epoch, name, total / steps] for name, total in sums.items()]
+        if validate is not None:
+            rows += [[epoch, f"val_{name}", value] for name, value in validate().items()]
+    write_csv(metrics, ["epoch", "metric", "value"], rows)
+    save_checkpoint(checkpoint, model.state(), {"stage": stage, "epochs": epochs, "config": _checkpoint_config(cfg), **meta})
+    return {"checkpoint": checkpoint, "metrics": metrics, "model": model}
 
 
 def stage1_step_loss(model: SignalAutoencoder, windows, text, images, weights: LossWeights):
@@ -417,18 +440,12 @@ def train_stage1(cfg: RunConfig) -> dict:
     image embeddings.
     """
     data = load_data(cfg)
-
-    init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
-    model = SignalAutoencoder(cfg.encoder_config(), init_rng)
-    optimizer = Adam(
-        model.params(), cfg.lr_stage1, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-    )
-
+    model = SignalAutoencoder(cfg.encoder_config(), np.random.default_rng(np.random.SeedSequence([cfg.seed, 11])))
     text_by_window = data.anchor_text[data.labels]  # (N, T, D)
     weights = cfg.loss_weights
 
     # The step's tensors are locals, so its graph is freed when it returns.
-    def step(chunk, rng):
+    def step(chunk, rng, optimizer):
         total, terms = stage1_step_loss(
             model, data.windows[chunk], text_by_window[chunk], data.window_image_emb[chunk], weights
         )
@@ -437,13 +454,9 @@ def train_stage1(cfg: RunConfig) -> dict:
         optimizer.step()
         return {name: float(term.data) for name, term in terms.items()} | {"total": float(total.data)}
 
-    rows = []
-    for epoch, means in _epochs(cfg, 1, cfg.epochs_stage1, data.train_idx, 2, step):
-        rows += [[epoch, name, mean] for name, mean in means.items()]
-        rows += [[epoch, f"val_{name}", value] for name, value in evaluate_stage1(model, data, weights).items()]
-
-    metrics = write_csv(cfg.stage1_metrics, ["epoch", "metric", "value"], rows)
-    return {"checkpoint": _save_stage_checkpoint(model, cfg, 1), "metrics": metrics, "model": model}
+    return _train(
+        cfg, 1, model, model.params(), data.train_idx, 2, step, lambda: evaluate_stage1(model, data, weights)
+    )
 
 
 def evaluate_stage1(model: SignalAutoencoder, data: Dataset, weights: LossWeights) -> dict:
@@ -469,15 +482,6 @@ MODEL_FIELDS = {
 }
 
 
-def _save_stage_checkpoint(model, cfg: RunConfig, stage: int, **meta) -> Path:
-    """Write ``model`` as the run's stage-``stage`` checkpoint; its meta holds
-    the stage, epochs and config that :func:`_load_checkpoint_into` checks,
-    plus ``meta``.  Returns the checkpoint path."""
-    path, epochs = (cfg.stage1_checkpoint, cfg.epochs_stage1) if stage == 1 else (cfg.stage2_checkpoint, cfg.epochs_stage2)
-    save_checkpoint(path, model.state(), {"stage": stage, "epochs": epochs, "config": _checkpoint_config(cfg), **meta})
-    return path
-
-
 def _load_checkpoint_into(model, cfg: RunConfig, stage: int):
     """``model`` with the state of the run's stage-``stage`` checkpoint.
 
@@ -485,7 +489,7 @@ def _load_checkpoint_into(model, cfg: RunConfig, stage: int):
     ``model`` (``Module.load_state``), and one trained under other values of
     the stage's ``MODEL_FIELDS``, naming each field that differs.
     """
-    path = cfg.stage1_checkpoint if stage == 1 else cfg.stage2_checkpoint
+    path = _stage_settings(cfg, stage)[0]
     state, meta = load_checkpoint(path)
     if meta.get("stage") != stage:
         raise ConfigError(f"{path} is not a stage-{stage} checkpoint")
@@ -520,12 +524,9 @@ def generation_conditions(cfg: RunConfig, data: Dataset, encoder: SignalAutoenco
     """Held-out conditioning latents and labels for guided sampling.
 
     Draws from the validation split first, then the test split, capped at
-    ``num`` windows.
+    ``num`` windows; the commands check that ``num`` is at least 1.
     """
-    idx = np.concatenate([data.val_idx, data.test_idx])
-    if num < 1:
-        raise ConfigError(f"need at least one sample, got {num}")
-    idx = idx[: min(num, len(idx))]
+    idx = np.concatenate([data.val_idx, data.test_idx])[:num]
     latents, _ = encode_windows(encoder, data.windows[idx])
     return latents, data.labels[idx]
 
@@ -552,20 +553,13 @@ def train_stage2(cfg: RunConfig) -> dict:
 
     model = build_stage2_model(cfg, np.random.default_rng(np.random.SeedSequence([cfg.seed, 21])))
     mask = selective_finetune_mask(model)
-    trainable = apply_train_mask(model, mask)
-    optimizer = Adam(trainable, cfg.lr_stage2, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
 
-    def step(chunk, rng):
+    def step(chunk, rng, optimizer):
         batch = {"x0": train_set["x0"][chunk], "cond": cond[chunk]}
-        loss = stage2_train_step(batch, model, optimizer, rng, drop_prob=cfg.drop_prob, gamma=cfg.gamma)
-        return {"v_loss": loss}
+        return {"v_loss": stage2_train_step(batch, model, optimizer, rng, drop_prob=cfg.drop_prob, gamma=cfg.gamma)}
 
-    rows = []
-    for epoch, means in _epochs(cfg, 2, cfg.epochs_stage2, np.arange(len(train_set["labels"])), 1, step):
-        rows += [[epoch, name, mean] for name, mean in means.items()]
-    metrics = write_csv(cfg.stage2_metrics, ["epoch", "metric", "value"], rows)
-    path = _save_stage_checkpoint(model, cfg, 2, mask=list(mask))
-    return {"checkpoint": path, "metrics": metrics, "model": model, "mask": mask}
+    order = np.arange(len(train_set["labels"]))
+    return _train(cfg, 2, model, apply_train_mask(model, mask), order, 1, step, mask=list(mask)) | {"mask": mask}
 
 
 def load_stage2_model(cfg: RunConfig) -> Stage2Model:

@@ -228,12 +228,17 @@ def test_eval_retrieval_outputs(ws):
     assert len(emb) == 1 + 8  # header + 2 windows per class in the tiny test split
 
 
-def test_cfg_sweep(ws):
-    assert main(["cfg-sweep", *ws.argv, "--scales", "0,2", "--num", "4"]) == 0
+def test_cfg_sweep(ws, monkeypatch):
+    # 2 and 2.0 name one samples file, so that scale is drawn and scored once
+    draws = []
+    sample = cli.sample_latents
+    monkeypatch.setattr(cli, "sample_latents", lambda *a, **k: draws.append(a[2]) or sample(*a, **k))
+    assert main(["cfg-sweep", *ws.argv, "--scales", "0,2,2.0", "--num", "4"]) == 0
     lines = (ws.cfg.eval_dir / "cfg_sweep.csv").read_text().strip().split("\n")
     assert lines[0] == "scale,agreement,frechet"
     assert len(lines) == 3
     assert [line.split(",")[0] for line in lines[1:]] == ["0.0", "2.0"]
+    assert draws == [0.0, 2.0]
 
 
 def test_cfg_sweep_loads_each_input_once(ws, monkeypatch):
@@ -373,6 +378,7 @@ def test_nonfinite_scale_exits_1(ws, argv, capsys):
         (["sample", "--steps", "0"], "sample_steps"),
         (["cfg-sweep", "--steps", "999"], "sample_steps"),
         (["cfg-sweep", "--scales", "1,nan"], "guidance_scale"),
+        (["sample", "--num", "0"], "--num"),
     ],
 )
 def test_sampling_overrides_are_checked_before_any_file(tmp_path, argv, field, capsys):
@@ -534,7 +540,11 @@ def test_dataset_config_mismatch_exits_1(ws, tmp_path, argv, capsys):
 
 
 @pytest.mark.parametrize("stage, name", [(1, "stage1_loss_terms"), (2, "stage2_train_step")])
-def test_divergence_names_stage_epoch_and_step(ws, monkeypatch, stage, name):
+def test_divergence_names_stage_epoch_and_step(ws, tmp_path, monkeypatch, stage, name):
+    # a fresh run directory: a diverging stage writes neither its metrics nor its checkpoint
+    cfg = replace(ws.cfg, out_dir=str(tmp_path / "run"), data_dir=str(ws.cfg.resolved_data_dir))
+    if stage == 2:
+        shutil.copytree(Path(ws.cfg.out_dir) / "stage1", tmp_path / "run" / "stage1")
     real = getattr(training, name)
     calls = []
 
@@ -548,7 +558,9 @@ def test_divergence_names_stage_epoch_and_step(ws, monkeypatch, stage, name):
     train = training.train_stage1 if stage == 1 else training.train_stage2
     match = f"^stage {stage} diverged at epoch 0, step 1: operation 'add' produced non-finite values$"
     with pytest.raises(RuntimeError, match=match):
-        train(ws.cfg)
+        train(cfg)
+    assert not getattr(cfg, f"stage{stage}_metrics").exists()
+    assert not getattr(cfg, f"stage{stage}_checkpoint").exists()
 
 
 def test_stage1_step_graph_is_freed_before_the_next_loss(ws, tmp_path, monkeypatch):
