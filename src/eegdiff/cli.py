@@ -35,7 +35,6 @@ from .signalio import (
     ContainerError, DataError, format_float, generate_dataset, integers_below, read_container, write_container, write_csv,
 )
 from .training import (
-    DATASET_FIELDS,
     TOP_K,
     RunConfig,
     encode_windows,
@@ -72,7 +71,7 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_gen_data(args, cfg: RunConfig) -> int:
-    generate_dataset(cfg.resolved_data_dir, **{name: getattr(cfg, name) for name in DATASET_FIELDS})
+    generate_dataset(cfg.resolved_data_dir, cfg)
     base = cfg.resolved_data_dir
     print(f"wrote {base / 'dataset.bin'} and {base / 'manifest.json'}")
     return 0

@@ -140,7 +140,8 @@ def snr_weight(schedule, t, gamma: float):
     array of the same shape).
     """
     snr = np.clip(schedule.snr(np.atleast_1d(t)), SNR_FLOOR, SNR_CEIL)
-    weight = snr ** (-gamma)
+    with np.errstate(over="ignore"):  # an infinite weight fails the loss's non-finite probe
+        weight = snr ** (-gamma)
     return weight.reshape(np.shape(t)) if np.ndim(t) else float(weight[0])
 
 

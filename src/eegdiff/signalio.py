@@ -5,9 +5,11 @@ sibling ``.tmp`` file and renames it into place.  The binary container is a
 little-endian file: magic ``SYNP``, a u16 format version, a JSON metadata
 blob, then named float64 records.  Datasets, model checkpoints and samples
 use it, and :func:`read_container` checks a container's ``kind`` and records.
-Metrics are CSV text (:func:`write_csv`).  All generation is driven by
-``np.random.default_rng`` seeded from explicit ``SeedSequence`` keys, and
-writes are ordered, so identical inputs produce byte-identical files.
+Metrics are CSV text (:func:`write_csv`).  :func:`generate_dataset` writes
+the dataset of a run config; ``training.load_data`` is its one reader.  All
+generation is driven by ``np.random.default_rng`` seeded from explicit
+``SeedSequence`` keys, and writes are ordered, so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -243,19 +244,6 @@ def preprocess(
 # -- synthetic dataset --------------------------------------------------------
 
 
-@dataclass
-class Dataset:
-    windows: np.ndarray  # (N, C, S)
-    labels: np.ndarray  # (N,) int
-    train_idx: np.ndarray
-    val_idx: np.ndarray
-    test_idx: np.ndarray
-    anchor_text: np.ndarray  # (K, T, D)
-    anchor_image: np.ndarray  # (K, D)
-    window_image_emb: np.ndarray  # (N, D)
-    meta: dict = field(default_factory=dict)
-
-
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
@@ -291,35 +279,30 @@ def split_sizes(per_class: int, val_frac: float, test_frac: float) -> tuple[int,
     return n_val, n_test
 
 
-def generate_dataset(
-    out_dir,
-    channels: int,
-    samples: int,
-    latent_tokens: int,
-    latent_dim: int,
-    classes: int,
-    per_class: int,
-    subjects: int,
-    seed: int,
-    fs: float = 1000.0,
-    low: float = 5.0,
-    high: float = 95.0,
-    val_frac: float = 1.0 / 6.0,
-    test_frac: float = 1.0 / 6.0,
-    noise_std: float = 0.25,
-    target_rms: float = 1.8,
-) -> dict:
+# The run-config fields that the manifest records as they are; it records
+# `low` and `high` as its "band" pair.
+MANIFEST_FIELDS = (
+    "channels", "samples", "latent_tokens", "latent_dim", "classes", "per_class", "subjects",
+    "seed", "fs", "val_frac", "test_frac", "noise_std", "target_rms",
+)
+
+
+def generate_dataset(out_dir, cfg) -> dict:
     """Generate a paired synthetic dataset and write it under ``out_dir``.
 
     Each class is a fixed mixture of in-band sinusoids with per-channel
     amplitudes/phases; subjects perturb it with per-channel gain and phase
-    offsets; white noise is added before filtering.  Writes ``dataset.bin``
-    and ``manifest.json`` and returns the manifest dict.  ``RunConfig.validate``
-    checks each argument's range; this checks what their combination allows.
+    offsets; white noise is added before filtering.  Reads its sizes, seed,
+    band and noise from ``cfg``, a run config (any object with
+    ``RunConfig``'s dataset fields).  Writes ``dataset.bin`` and
+    ``manifest.json`` and returns the manifest dict.  ``RunConfig.validate``
+    checks each value's range; this checks what their combination allows.
     """
+    channels, samples, classes, per_class = cfg.channels, cfg.samples, cfg.classes, cfg.per_class
+    subjects, latent_dim, seed, fs, low, high = cfg.subjects, cfg.latent_dim, cfg.seed, cfg.fs, cfg.low, cfg.high
     if classes > channels * 4:
         raise DataError(f"{classes} classes exceed the {channels * 4} supported by {channels} channels")
-    n_val, n_test = split_sizes(per_class, val_frac, test_frac)
+    n_val, n_test = split_sizes(per_class, cfg.val_frac, cfg.test_frac)
 
     anchor_rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     class_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
@@ -327,7 +310,7 @@ def generate_dataset(
     window_rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
     split_rng = np.random.default_rng(np.random.SeedSequence([seed, 5]))
 
-    anchor_text, anchor_image = _make_anchors(anchor_rng, classes, latent_tokens, latent_dim)
+    anchor_text, anchor_image = _make_anchors(anchor_rng, classes, cfg.latent_tokens, latent_dim)
 
     # class signatures: frequencies must fit the passband and complete at
     # least ~1.5 cycles per window so short windows stay class-separable
@@ -351,7 +334,7 @@ def generate_dataset(
     for k in range(classes):
         args = 2.0 * np.pi * freqs[k][None, :, None] * t[None, None, :] + phases[k][:, :, None]
         template = (amps[k][:, :, None] * np.sin(args)).sum(axis=1)
-        scales[k] = target_rms / np.sqrt(np.mean(template * template))
+        scales[k] = cfg.target_rms / np.sqrt(np.mean(template * template))
 
     total = classes * per_class
     windows = np.empty((total, channels, samples))
@@ -369,7 +352,7 @@ def generate_dataset(
                 + shifts[m][:, None, None]
             )
             clean = scales[k] * gains[m][:, None] * (amps[k][:, :, None] * np.sin(args)).sum(axis=1)
-            raw = clean + noise_std * target_rms * window_rng.normal(size=(channels, raw_len))
+            raw = clean + cfg.noise_std * cfg.target_rms * window_rng.normal(size=(channels, raw_len))
             windows[n] = preprocess(raw, fs, samples, low=low, high=high)
             labels[n] = k
             subj[n] = m
@@ -387,24 +370,8 @@ def generate_dataset(
     val_idx = np.sort(np.concatenate(val_parts))
     test_idx = np.sort(np.concatenate(test_parts))
 
-    meta = {
-        "kind": "dataset",
-        "channels": channels,
-        "samples": samples,
-        "latent_tokens": latent_tokens,
-        "latent_dim": latent_dim,
-        "classes": classes,
-        "per_class": per_class,
-        "subjects": subjects,
-        "seed": seed,
-        "fs": fs,
-        "band": [low, high],
-        "val_frac": val_frac,
-        "test_frac": test_frac,
-        "noise_std": noise_std,
-        "target_rms": target_rms,
-        "components": COMPONENTS,
-    }
+    meta = {name: getattr(cfg, name) for name in MANIFEST_FIELDS}
+    meta.update(kind="dataset", band=[low, high], components=COMPONENTS)
     arrays = {
         "windows": windows,
         "labels": labels.astype(np.float64),
@@ -434,39 +401,3 @@ def generate_dataset(
 def integers_below(values: np.ndarray, stop: int) -> bool:
     """Whether ``values`` is a 1-D array of integers in [0, stop): indices or labels."""
     return values.ndim == 1 and bool(np.all((values >= 0) & (values < stop) & (values == np.floor(values))))
-
-
-# The records `load_dataset` reads.  `generate_dataset` also writes each
-# window's "subjects" index, which no command reads.
-DATASET_RECORDS = (
-    "windows", "labels", "train_idx", "val_idx", "test_idx", "anchor_text", "anchor_image", "window_image_emb",
-)
-
-
-def load_dataset(data_dir) -> Dataset:
-    """Load the dataset directory written by :func:`generate_dataset`."""
-    container = Path(data_dir) / "dataset.bin"
-    if not container.exists():
-        raise DataError(f"no dataset at {container}; run `gen-data` first")
-    arrays, meta = read_container(container, kind="dataset", records=DATASET_RECORDS)
-    # Indices select windows and labels select anchor rows: each must be an
-    # integer in range, or training fails far from the file that is wrong.
-    n = len(arrays["windows"])
-    for name in ("labels", "window_image_emb"):
-        if arrays[name].shape[:1] != (n,):
-            raise ContainerError(f"{container} record {name!r} must hold one row per window ({n})")
-    bounds = {"labels": len(arrays["anchor_text"]), "train_idx": n, "val_idx": n, "test_idx": n}
-    for name, stop in bounds.items():
-        if not integers_below(arrays[name], stop):
-            raise ContainerError(f"{container} record {name!r} must hold integers in [0, {stop})")
-    return Dataset(
-        windows=arrays["windows"],
-        labels=arrays["labels"].astype(np.int64),
-        train_idx=arrays["train_idx"].astype(np.int64),
-        val_idx=arrays["val_idx"].astype(np.int64),
-        test_idx=arrays["test_idx"].astype(np.int64),
-        anchor_text=arrays["anchor_text"],
-        anchor_image=arrays["anchor_image"],
-        window_image_emb=arrays["window_image_emb"],
-        meta=meta,
-    )

@@ -5,19 +5,21 @@ parameters, the seeded epochs, the metrics CSV and the checkpoint; a stage
 brings its model, its parameters and its step.  Both are fully seeded:
 parameter init, epoch shuffles, timestep and noise draws, and condition
 dropout each consume dedicated ``SeedSequence([seed, tag, ...])`` streams,
-so reruns are byte-identical.
+so reruns are byte-identical.  :func:`load_data` is the one reader of the
+dataset that ``signalio.generate_dataset`` writes, and checks every record
+against the run config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, signalio
 from .autodiff import NonFiniteError, Tensor
 from .diffusion import (
     DenoiserConfig,
@@ -42,7 +44,7 @@ from .losses import (
 )
 from .nn import BATCH_NORM_EPS, LAYER_NORM_EPS, ConfigError
 from .signalio import (
-    DataError, Dataset, format_float, load_checkpoint, load_dataset, save_checkpoint, split_sizes, write_csv,
+    ContainerError, DataError, format_float, integers_below, load_checkpoint, save_checkpoint, split_sizes, write_csv,
 )
 
 
@@ -51,7 +53,9 @@ class Adam:
 
     A zero (or missing) gradient leaves a parameter unchanged only while its
     moments are zero; after one nonzero step, the decaying moments still move
-    it.
+    it.  A step whose second moment or update of a parameter is not finite
+    raises ``NonFiniteError`` naming the parameter, before it changes that
+    parameter or its moments.
 
     ``RunConfig.validate`` checks the run's ``lr_stage*`` and ``adam_*``
     values; the optimizer takes its hyperparameters as given.
@@ -79,23 +83,22 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
-            v = self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        # g * g may overflow; the check names the parameter (v >= 0, so its max reaches any NaN/Inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p in self.params.items():
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                m = self.beta1 * self.m[name] + (1.0 - self.beta1) * g
+                v = self.beta2 * self.v[name] + (1.0 - self.beta2) * (g * g)
+                update = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                if not (np.isfinite(v.max()) and np.isfinite(update.min()) and np.isfinite(update.max())):
+                    raise NonFiniteError(f"Adam update of parameter {name!r} is not finite")
+                self.m[name], self.v[name] = m, v
+                p.data -= update
 
 
 # The k of the top-5 retrieval metrics: the validation and test splits,
 # which they score, must hold at least this many windows.
 TOP_K = 5
-
-# RunConfig fields that `signalio.generate_dataset` takes as keyword arguments.
-DATASET_FIELDS = (
-    "channels", "samples", "latent_tokens", "latent_dim", "classes", "per_class", "subjects",
-    "seed", "fs", "low", "high", "val_frac", "test_frac", "noise_std", "target_rms",
-)
-
 
 @dataclass
 class RunConfig:
@@ -361,16 +364,65 @@ def _checkpoint_config(cfg: RunConfig) -> dict:
     return {k: v for k, v in cfg.to_dict().items() if k not in ("out_dir", "data_dir")}
 
 
+@dataclass
+class Dataset:
+    """The dataset records that the commands read, under their record names."""
+
+    windows: np.ndarray  # (N, channels, samples)
+    labels: np.ndarray  # (N,) int
+    train_idx: np.ndarray
+    val_idx: np.ndarray
+    test_idx: np.ndarray
+    anchor_text: np.ndarray  # (classes, latent_tokens, latent_dim)
+    window_image_emb: np.ndarray  # (N, latent_dim)
+
+
+# The size of each axis of a dataset record: a RunConfig field, or None for
+# the window count N.
+DATASET_AXES = {
+    "windows": (None, "channels", "samples"),
+    "labels": (None,),
+    "anchor_text": ("classes", "latent_tokens", "latent_dim"),
+    "window_image_emb": (None, "latent_dim"),
+}
+
+
 def load_data(cfg: RunConfig) -> Dataset:
-    """The run's dataset, checked against the config fields that size the
-    models and for splits large enough to score."""
-    data = load_dataset(cfg.resolved_data_dir)
-    for key in ("channels", "samples", "latent_tokens", "latent_dim", "classes"):
-        have, want = data.meta.get(key), getattr(cfg, key)
-        if have != want:
-            raise ConfigError(f"dataset {key}={have} does not match config {key}={want}")
-    _check_scored_splits("the dataset's", len(data.val_idx), len(data.test_idx))
-    return data
+    """The run's dataset, every record checked against the config.
+
+    Each record must have the shape that the config and the window count
+    give it, the labels must be classes and the split indices windows, the
+    training split must hold at least 2 windows (stage 1's batch norm, and
+    the fewest rows ``eval-gen`` fits a covariance to), and the scored
+    splits at least ``TOP_K``.  The generator also writes each window's
+    subject and each class's image anchor, which no command reads.
+    """
+    container = cfg.resolved_data_dir / "dataset.bin"
+    if not container.exists():
+        raise DataError(f"no dataset at {container}; run `gen-data` first")
+    names = tuple(f.name for f in fields(Dataset))
+    arrays, _ = signalio.read_container(container, kind="dataset", records=names)
+    n = len(arrays["windows"]) if arrays["windows"].ndim else 0  # a 0-d record fails its axis count below
+    for name, axes in DATASET_AXES.items():
+        shape = arrays[name].shape
+        if len(shape) != len(axes):
+            raise ContainerError(f"{container} record {name!r} has shape {shape}, not {len(axes)} axes")
+        for axis, have in zip(axes, shape):
+            if axis is None and have != n:
+                raise ContainerError(f"{container} record {name!r} must hold one row per window ({n})")
+            if axis is not None and have != getattr(cfg, axis):
+                raise ConfigError(f"dataset {axis}={have} does not match config {axis}={getattr(cfg, axis)}")
+    # Indices select windows and labels select anchor rows: each must be an
+    # integer in range, or training fails far from the file that is wrong.
+    for name, stop in {"labels": cfg.classes, "train_idx": n, "val_idx": n, "test_idx": n}.items():
+        if not integers_below(arrays[name], stop):
+            raise ContainerError(f"{container} record {name!r} must hold integers in [0, {stop})")
+        arrays[name] = arrays[name].astype(np.int64)
+    train = len(arrays["train_idx"])
+    if train < 2:
+        raise DataError(f"the dataset's training split holds {train} windows; training needs at least 2")
+    _check_scored_splits("the dataset's", len(arrays["val_idx"]), len(arrays["test_idx"]))
+    return Dataset(**{name: arrays[name] for name in names})
 
 
 def _stage_settings(cfg: RunConfig, stage: int) -> tuple[Path, Path, int, float]:

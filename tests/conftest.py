@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from eegdiff.signalio import generate_dataset, load_dataset
-from eegdiff.training import DATASET_FIELDS, RunConfig
+from eegdiff.signalio import generate_dataset
+from eegdiff.training import RunConfig, load_data
 
 
 def tiny_config(out_dir: str = "out", seed: int = 3) -> RunConfig:
@@ -45,9 +45,8 @@ def tiny_cfg(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def tiny_data(tiny_cfg):
-    cfg = tiny_cfg
-    generate_dataset(cfg.resolved_data_dir, **{name: getattr(cfg, name) for name in DATASET_FIELDS})
-    return load_dataset(cfg.resolved_data_dir)
+    generate_dataset(tiny_cfg.resolved_data_dir, tiny_cfg)
+    return load_data(tiny_cfg)
 
 
 @pytest.fixture

@@ -46,13 +46,14 @@ from eegdiff.losses import (
     text_align_loss,
     v_target,
 )
-from eegdiff.signalio import load_dataset, preprocess
+from eegdiff.signalio import preprocess
 from eegdiff.training import (
     Adam,
     RunConfig,
     evaluate_stage1,
     generation_conditions,
     gradient_suite,
+    load_data,
     load_stage1_model,
     load_stage2_model,
     stage2_training_set,
@@ -81,7 +82,7 @@ def desk(tmp_path_factory):
     t0 = time.monotonic()
     assert main(["train-stage2", "--out", out]) == 0
     t_stage2 = time.monotonic() - t0
-    data = load_dataset(cfg.resolved_data_dir)
+    data = load_data(cfg)
     return SimpleNamespace(cfg=cfg, data=data, t_stage1=t_stage1, t_stage2=t_stage2)
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import tiny_config
 from eegdiff import signalio
 from eegdiff.signalio import (
     ContainerError,
@@ -13,13 +15,13 @@ from eegdiff.signalio import (
     bandpass_filter,
     generate_dataset,
     load_checkpoint,
-    load_dataset,
     preprocess,
     read_container,
     save_checkpoint,
     write_container,
     write_csv,
 )
+from eegdiff.training import load_data
 
 
 def tone(freq, fs, n, phase=0.0):
@@ -165,8 +167,7 @@ def test_failed_text_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypat
         if target == "t.csv":
             write_csv(path, ["a", "b"], [[1, 0.5]])
         else:
-            generate_dataset(tmp_path, channels=2, samples=16, latent_tokens=4, latent_dim=8,
-                             classes=2, per_class=4, subjects=1, seed=0, fs=250.0)
+            generate_dataset(tmp_path, tiny_config())
     assert path.read_bytes() == b"earlier\n"
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -249,7 +250,8 @@ def test_generate_dataset_layout(tiny_cfg, tiny_data):
     total = tiny_cfg.classes * tiny_cfg.per_class
     assert data.windows.shape == (total, tiny_cfg.channels, tiny_cfg.samples)
     assert data.anchor_text.shape == (tiny_cfg.classes, tiny_cfg.latent_tokens, tiny_cfg.latent_dim)
-    assert data.anchor_image.shape == (tiny_cfg.classes, tiny_cfg.latent_dim)
+    records, _ = read_container(tiny_cfg.resolved_data_dir / "dataset.bin")
+    assert records["anchor_image"].shape == (tiny_cfg.classes, tiny_cfg.latent_dim)
     assert data.window_image_emb.shape == (total, tiny_cfg.latent_dim)
     assert len(data.train_idx) + len(data.val_idx) + len(data.test_idx) == total
     assert not set(data.train_idx) & set(data.val_idx)
@@ -260,19 +262,8 @@ def test_generate_dataset_layout(tiny_cfg, tiny_data):
 
 
 def test_generate_dataset_deterministic(tmp_path, tiny_cfg):
-    kwargs = dict(
-        channels=tiny_cfg.channels,
-        samples=tiny_cfg.samples,
-        latent_tokens=tiny_cfg.latent_tokens,
-        latent_dim=tiny_cfg.latent_dim,
-        classes=tiny_cfg.classes,
-        per_class=tiny_cfg.per_class,
-        subjects=tiny_cfg.subjects,
-        seed=tiny_cfg.seed,
-        fs=tiny_cfg.fs,
-    )
-    generate_dataset(tmp_path / "one", **kwargs)
-    generate_dataset(tmp_path / "two", **kwargs)
+    generate_dataset(tmp_path / "one", tiny_cfg)
+    generate_dataset(tmp_path / "two", tiny_cfg)
     assert (tmp_path / "one" / "dataset.bin").read_bytes() == (tmp_path / "two" / "dataset.bin").read_bytes()
     assert (tmp_path / "one" / "manifest.json").read_text() == (tmp_path / "two" / "manifest.json").read_text()
 
@@ -286,8 +277,8 @@ def test_manifest_matches_container(tiny_cfg, tiny_data):
     assert set(manifest["record_offsets"]) == set(records)
 
 
-def test_anchor_separation(tiny_data):
-    img = tiny_data.anchor_image
+def test_anchor_separation(tiny_cfg, tiny_data):
+    img = read_container(tiny_cfg.resolved_data_dir / "dataset.bin")[0]["anchor_image"]
     norms = np.linalg.norm(img, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-9)
     sims = img @ img.T
@@ -303,15 +294,14 @@ def test_windows_land_near_target_rms(tiny_cfg, tiny_data):
 
 def test_generate_dataset_validation(tmp_path):
     with pytest.raises(DataError):
-        generate_dataset(tmp_path, channels=2, samples=16, latent_tokens=4, latent_dim=8,
-                         classes=9, per_class=4, subjects=1, seed=0)
+        generate_dataset(tmp_path, replace(tiny_config(), channels=2, classes=9))
 
 
 def test_load_dataset_missing_and_wrong_kind(tmp_path, rng):
     with pytest.raises(DataError, match="run `gen-data` first"):
-        load_dataset(tmp_path / "nope")
+        load_data(replace(tiny_config(), data_dir=str(tmp_path / "nope")))
     bad = tmp_path / "bad"
     bad.mkdir()
     write_container(bad / "dataset.bin", {"x": rng.normal(size=3)}, {"kind": "checkpoint"})
     with pytest.raises(ContainerError, match="not a dataset"):
-        load_dataset(bad)
+        load_data(replace(tiny_config(), data_dir=str(bad)))

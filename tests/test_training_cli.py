@@ -19,7 +19,7 @@ from eegdiff.autodiff import NonFiniteError, Tensor
 from eegdiff.cli import main
 from eegdiff.nn import ConfigError
 from eegdiff.signalio import format_float, read_container, write_container, write_csv
-from eegdiff.training import DATASET_FIELDS, Adam, RunConfig
+from eegdiff.training import Adam, RunConfig
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -56,6 +56,18 @@ def test_adam_descends_quadratic():
         params["w"].grad = 2.0 * params["w"].data
         opt.step()
     assert abs(params["w"].data[0]) < 0.1
+
+
+def test_adam_overflowing_moment_raises_and_names_the_parameter():
+    # 1e200 squared overflows the second moment, which would freeze "w" from then on
+    params = {"w": Tensor(np.array([0.0])), "b": Tensor(np.array([0.5]))}
+    opt = Adam(params, lr=0.1)
+    params["w"].grad = np.array([1e200])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError, match="parameter 'w'"):
+            opt.step()
+    assert params["w"].data[0] == 0.0 and opt.v["w"][0] == 0.0
 
 
 # -- run config --------------------------------------------------------------------
@@ -330,8 +342,7 @@ def test_gen_data_checks_every_run_value(tmp_path, flags, changes, capsys):
 
 
 def test_train_rejects_a_dataset_split_too_small_to_score(tmp_path, capsys):
-    small = tiny_config().to_dict() | {"classes": 2, "per_class": 6}  # 2 validation windows
-    signalio.generate_dataset(tmp_path / "data", **{name: small[name] for name in DATASET_FIELDS})
+    signalio.generate_dataset(tmp_path / "data", replace(tiny_config(), classes=2, per_class=6))  # 2 validation windows
     config = write_config(
         tmp_path / "config.json", tiny_config(str(tmp_path / "run")),
         classes=2, per_class=18, data_dir=str(tmp_path / "data"),
@@ -445,27 +456,65 @@ def test_huge_scale_sample_exits_1(ws, scale, capsys):
     assert not ws.cfg.samples_path(float(scale)).exists()
 
 
+def test_overflowing_snr_weight_exits_1(ws, tmp_path, capsys):
+    # SNR^-gamma overflows at gamma -1e6: the loss's non-finite probe is the only report
+    shutil.copytree(Path(ws.cfg.out_dir) / "stage1", tmp_path / "stage1")
+    changes = {"out_dir": str(tmp_path), "data_dir": str(ws.cfg.resolved_data_dir), "gamma": -1e6}
+    argv = write_config(tmp_path / "config.json", ws.cfg, **changes)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train-stage2", *argv]) == 1
+    assert_one_error_line(capsys)
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "stage2").exists()
+
+
+# Every command that loads the dataset.
+DATASET_COMMANDS = (
+    ["train-stage1"], ["train-stage2"], ["sample"], ["eval-retrieval"],
+    ["eval-gen", "--scale", "2.0"], ["cfg-sweep", "--scales", "1", "--num", "4"],
+)
+
+
 @pytest.mark.parametrize(
     "record, value",
     [
         ("train_idx", 1000000.0), ("val_idx", -1.0), ("test_idx", 0.5), ("labels", 4.0),
-        # a slice keeps only those rows of the record
+        # an index keeps only those elements of the record
         pytest.param("window_image_emb", slice(0, 5), id="window_image_emb-truncated"),
+        pytest.param("train_idx", slice(0, 0), id="train_idx-empty"),
+        pytest.param("train_idx", slice(0, 1), id="train_idx-one-window"),
+        pytest.param("windows", np.s_[:, :3], id="windows-3-channels"),
+        pytest.param("anchor_text", np.s_[:, :3], id="anchor_text-3-tokens"),
+        pytest.param("window_image_emb", np.s_[:, :5], id="window_image_emb-narrow"),
     ],
 )
 def test_train_rejects_out_of_range_dataset_records(ws, tmp_path, record, value, capsys):
     arrays, meta = read_container(ws.cfg.resolved_data_dir / "dataset.bin")
-    if isinstance(value, slice):
-        arrays[record] = arrays[record][value]
-    else:
+    if isinstance(value, float):
         arrays[record] = arrays[record].copy()
         arrays[record][0] = value
+    else:
+        arrays[record] = arrays[record][value]
     write_container(tmp_path / "data" / "dataset.bin", arrays, meta)
+    # both checkpoints and the samples are in place, so only the dataset is at fault
+    for stage in ("stage1", "stage2"):
+        shutil.copytree(Path(ws.cfg.out_dir) / stage, tmp_path / stage)
+    samples = {"samples": np.zeros((4, 2, 4, 4)), "labels": np.zeros(4)}
+    write_container(tmp_path / "samples" / "scale_2.0.bin", samples, {"kind": "samples"})
     argv = write_config(tmp_path / "config.json", ws.cfg, out_dir=str(tmp_path), data_dir=None)
-    capsys.readouterr()
-    assert main(["train-stage1", *argv]) == 1
-    assert_one_error_line(capsys)
-    assert not (tmp_path / "stage1").exists()
+    # every path and every file's bytes: a command that rewrote a checkpoint
+    # before failing would change the snapshot as surely as one that added a file
+    def snapshot():
+        return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+    before = snapshot()
+    for command in DATASET_COMMANDS:
+        capsys.readouterr()
+        assert main([*command, *argv]) == 1, command
+        assert_one_error_line(capsys)
+        assert snapshot() == before, command
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Run the seed-5 desk pipeline against one source tree and print the sha256
 # of every file it writes, sorted by path.  Two trees whose listings are
-# equal produce byte-identical outputs.
+# equal produce byte-identical outputs.  A command that fails or writes to
+# stderr, such as a numpy warning, fails the script.
 #
 # Usage: tools/output_digests.sh SRC_DIR WORK_DIR
 #   SRC_DIR   directory holding the eegdiff package (a checkout's src/)
@@ -25,8 +26,14 @@ export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 printf '{"epochs_stage1": 1, "epochs_stage2": 2}\n' > "$work/config.json"
 
 run() {
+    status=0
     PYTHONPATH="$src" python3 -m eegdiff.cli "$@" \
-        --config "$work/config.json" --seed 5 --out "$work/out" > /dev/null
+        --config "$work/config.json" --seed 5 --out "$work/out" > /dev/null 2> "$work/stderr" || status=$?
+    if [ "$status" -ne 0 ] || [ -s "$work/stderr" ]; then
+        cat "$work/stderr" >&2
+        echo "$0: '$*' exited $status or wrote to stderr" >&2
+        exit 1
+    fi
 }
 
 run gen-data
