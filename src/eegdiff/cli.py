@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 validation or runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from dataclasses import replace
 
@@ -52,12 +53,39 @@ GRAD_TOLERANCE = 1e-4
 DEFAULT_SWEEP = "3,5,7,9"
 SCORE_HEADER = ["scale", "agreement", "frechet"]
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+# values `steady_heap` gives them: 32 MiB is the ceiling of glibc's own
+# dynamic mmap threshold on 64-bit, and glibc trims above twice that.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 * 2**20
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
 # (flag, config field): a flag that a command accepts and was given replaces
 # the field's value.
 OVERRIDES = (
     ("seed", "seed"), ("out", "out_dir"), ("data", "data_dir"),
     ("scale", "guidance_scale"), ("steps", "sample_steps"),
 )
+
+
+def steady_heap() -> bool:
+    """Keep freed heap memory in this process; True if glibc took both values.
+
+    Each guided-sampling denoiser branch grows the heap by about 10 MB and
+    frees it, above glibc's dynamic trim threshold, so by default glibc
+    returns the memory to the kernel and faults it back in at the next
+    branch.  Setting one threshold alone turns off glibc's dynamic
+    adjustment of both, so both are set.  Outputs do not depend on this.
+    Where the C library has no ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: Windows cannot open the program itself
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    return bool(mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD) and mmap_set)
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -259,6 +287,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
+    steady_heap()
     try:
         return args.func(args, _config_from(args))
     except (

@@ -391,10 +391,11 @@ def load_data(cfg: RunConfig) -> Dataset:
     """The run's dataset, every record checked against the config.
 
     Each record must have the shape that the config and the window count
-    give it, the labels must be classes and the split indices windows, the
-    training split must hold at least 2 windows (stage 1's batch norm, and
-    the fewest rows ``eval-gen`` fits a covariance to), and the scored
-    splits at least ``TOP_K``.  The generator also writes each window's
+    give it, the labels must be classes and the split indices windows, no
+    window may appear twice in one split or in two splits, the training
+    split must hold at least 2 windows (stage 1's batch norm, and the
+    fewest rows ``eval-gen`` fits a covariance to), and the scored splits
+    at least ``TOP_K``.  The generator also writes each window's
     subject and each class's image anchor, which no command reads.
     """
     container = cfg.resolved_data_dir / "dataset.bin"
@@ -418,6 +419,15 @@ def load_data(cfg: RunConfig) -> Dataset:
         if not integers_below(arrays[name], stop):
             raise ContainerError(f"{container} record {name!r} must hold integers in [0, {stop})")
         arrays[name] = arrays[name].astype(np.int64)
+    # Each window sits in at most one split, once: a scored window that was
+    # also trained on would score training data.
+    splits = ("train_idx", "val_idx", "test_idx")
+    for i, name in enumerate(splits):
+        if len(np.unique(arrays[name])) < len(arrays[name]):
+            raise ContainerError(f"{container} record {name!r} names a window twice")
+        for other in splits[:i]:
+            if np.intersect1d(arrays[other], arrays[name]).size:
+                raise ContainerError(f"{container} records {other!r} and {name!r} share a window")
     train = len(arrays["train_idx"])
     if train < 2:
         raise DataError(f"the dataset's training split holds {train} windows; training needs at least 2")

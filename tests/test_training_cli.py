@@ -1,7 +1,11 @@
+import ctypes
 import gc
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 import weakref
 from dataclasses import replace
@@ -538,6 +542,26 @@ def test_non_finite_dataset_record_exits_1(ws, tmp_path, command, record, capsys
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("fault", ["scored-on-training", "repeated-index"])
+def test_overlapping_splits_exit_1(ws, tmp_path, fault, capsys):
+    # scoring training windows read label_top1 1.0 before the splits were checked
+    arrays, meta = read_container(ws.cfg.resolved_data_dir / "dataset.bin")
+    if fault == "scored-on-training":
+        arrays["val_idx"] = arrays["test_idx"] = arrays["train_idx"][:8]
+        problem = "records 'train_idx' and 'val_idx' share a window"
+    else:
+        arrays["test_idx"] = np.concatenate([arrays["test_idx"], arrays["test_idx"][:1]])
+        problem = "record 'test_idx' names a window twice"
+    container = tmp_path / "data" / "dataset.bin"
+    write_container(container, arrays, meta)
+    shutil.copytree(Path(ws.cfg.out_dir) / "stage1", tmp_path / "stage1")
+    argv = write_config(tmp_path / "config.json", ws.cfg, out_dir=str(tmp_path), data_dir=None)
+    capsys.readouterr()
+    assert main(["eval-retrieval", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {container} {problem}\n"
+    assert not (tmp_path / "eval").exists()
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["not-a-command"]) == 2
@@ -765,3 +789,53 @@ def test_grad_check_without_seeds_exits_1(tmp_path, seeds, capsys):
     assert main(["grad-check", "--out", str(tmp_path), "--seeds", seeds]) == 1
     assert_one_error_line(capsys)
     assert not (tmp_path / "eval" / "grad_check.csv").exists()
+
+
+# -- process heap ------------------------------------------------------------------
+
+# Minor page faults of one guided sample at batch 64 and the default sizes,
+# after `cli.steady_heap`; prints whether glibc took the thresholds, then the
+# count.  About 3.5k with the thresholds set and 51k without.
+FAULTS_OF_GUIDED_SAMPLE = """
+import resource
+import numpy as np
+from eegdiff import cli
+from eegdiff.diffusion import sample
+from eegdiff.training import RunConfig, build_stage2_model
+
+cfg = RunConfig()
+model = build_stage2_model(cfg, np.random.default_rng(0))
+cond = np.random.default_rng(1).normal(size=(64, cfg.latent_tokens, cfg.latent_dim))
+print(cli.steady_heap())
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+sample(model, cond, 7.5, steps=10, seed=5)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_steady_heap_keeps_guided_sampling_from_faulting():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+                        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    child = subprocess.run([sys.executable, "-c", FAULTS_OF_GUIDED_SAMPLE], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    took, faults = child.stdout.split()
+    if took != "True":
+        pytest.skip("the C library has no mallopt")
+    # each denoiser branch frees about 10 MB: trimmed, they fault back in at the next
+    assert int(faults) < 10_000
+
+
+@pytest.mark.parametrize("library", ["unloadable", "without-mallopt"])
+def test_steady_heap_without_mallopt_does_nothing(tmp_path, monkeypatch, library):
+    def cdll(name):
+        if library == "unloadable":
+            raise OSError("no C library")
+        return object()  # a C library without mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli.steady_heap() is False
+    argv = write_config(tmp_path / "config.json", tiny_config(str(tmp_path)))
+    assert main(["gen-data", *argv]) == 0
+    assert (tmp_path / "data" / "dataset.bin").exists()
