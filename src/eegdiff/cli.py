@@ -21,10 +21,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .autodiff import NonFiniteError, ShapeError
 from .diffusion import sample as sample_latents
 from .evaluate import (
-    EvalError,
     class_agreement,
     export_embeddings,
     fit_gaussian,
@@ -33,7 +31,7 @@ from .evaluate import (
 )
 from .nn import ConfigError
 from .signalio import (
-    ContainerError, DataError, format_float, generate_dataset, integers_below, read_container, write_container, write_csv,
+    DataError, format_float, generate_dataset, integers_below, read_container, write_container, write_csv,
 )
 from .training import (
     TOP_K,
@@ -290,9 +288,10 @@ def main(argv=None) -> int:
     steady_heap()
     try:
         return args.func(args, _config_from(args))
-    except (
-        ConfigError, ShapeError, DataError, ContainerError, EvalError, NonFiniteError, OSError, RuntimeError
-    ) as exc:
+    # The package's errors are ValueErrors (ConfigError, DataError, ...) and
+    # ArithmeticErrors (NonFiniteError); numpy refuses sizes it cannot
+    # allocate with a ValueError or a MemoryError.
+    except (ValueError, ArithmeticError, MemoryError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

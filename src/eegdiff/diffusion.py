@@ -395,9 +395,7 @@ def stage2_train_step(
     """One selective-finetuning step on :func:`stage2_step_loss`; returns
     the weighted velocity loss."""
     loss, _ = stage2_step_loss(batch, model, rng, drop_prob, gamma)
-    optimizer.zero_grad()
-    loss.backward()
-    optimizer.step()
+    optimizer.minimize(loss)
     return float(loss.data)
 
 

@@ -2,7 +2,8 @@
 
 Both stages run through one trainer, which owns the Adam over the trained
 parameters, the seeded epochs, the metrics CSV and the checkpoint; a stage
-brings its model, its parameters and its step.  Both are fully seeded:
+brings its model, its parameters and its step, which updates through the one
+``Adam.minimize``.  Both are fully seeded:
 parameter init, epoch shuffles, timestep and noise draws, and condition
 dropout each consume dedicated ``SeedSequence([seed, tag, ...])`` streams,
 so reruns are byte-identical.  :func:`load_data` is the one reader of the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -75,9 +77,13 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.t = 0
 
-    def zero_grad(self) -> None:
+    def minimize(self, loss: Tensor) -> None:
+        """One update on ``loss``: clear the trained parameters' gradients,
+        backpropagate ``loss`` and ``step``."""
         for p in self.params.values():
             p.grad = None
+        loss.backward()
+        self.step()
 
     def step(self) -> None:
         self.t += 1
@@ -221,25 +227,14 @@ class RunConfig:
     # -- derived views ------------------------------------------------------
 
     def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            channels=self.channels,
-            samples=self.samples,
-            latent_tokens=self.latent_tokens,
-            latent_dim=self.latent_dim,
-            temporal_dim=self.temporal_dim,
-            heads=self.heads,
-            depth=self.depth,
-        )
+        return EncoderConfig(**self._layer_values(EncoderConfig))
 
     def denoiser_config(self) -> DenoiserConfig:
-        return DenoiserConfig(
-            cond_dim=self.latent_dim,
-            grid=tuple(self.grid),
-            widths=tuple(self.widths),
-            attn_width=self.attn_width,
-            attn_heads=self.attn_heads,
-            time_dim=self.time_dim,
-        )
+        return DenoiserConfig(cond_dim=self.latent_dim, **self._layer_values(DenoiserConfig))
+
+    def _layer_values(self, layer) -> dict:
+        """This config's values of the fields of ``layer`` it sets, a list as a tuple."""
+        return {name: tuple(v) if isinstance(v := getattr(self, name), list) else v for name in _layer_fields(layer)}
 
     # -- paths ---------------------------------------------------------------
 
@@ -317,6 +312,20 @@ class RunConfig:
         return cls.from_dict(raw)
 
 
+def _layer_fields(layer) -> tuple[str, ...]:
+    """The fields of the layer config class ``layer`` that a run config
+    sets, in their order (``DenoiserConfig.cond_dim`` is ``latent_dim``)."""
+    return tuple(f.name for f in fields(layer) if f.name in RunConfig.__dataclass_fields__)
+
+
+# The config fields that shape each stage's model (or, for stage 2, its
+# noise schedule): a checkpoint loads only under the values it was trained at.
+MODEL_FIELDS = {
+    1: _layer_fields(EncoderConfig),
+    2: _layer_fields(DenoiserConfig) + ("schedule_steps", "beta_min", "beta_max"),
+}
+
+
 def _type_mismatch(value, default) -> str | None:
     """What a config value must be, going by its field's default; None if it fits."""
     if isinstance(default, LossWeights):
@@ -326,11 +335,13 @@ def _type_mismatch(value, default) -> str | None:
         fits = isinstance(value, (list, tuple)) and len(value) == len(default)
         fits = fits and not any(_type_mismatch(v, 0) for v in value)
         return None if fits else f"a list of {len(default)} ints"
-    if isinstance(default, (int, float)):
-        number = (int, float) if isinstance(default, float) else int
-        if isinstance(value, number) and not isinstance(value, bool) and math.isfinite(value):
-            return None
-        return "a finite number" if isinstance(default, float) else "an int"
+    if isinstance(default, float):
+        # a number with a finite float value; unlike math.isfinite, the
+        # comparison cannot overflow on a huge int
+        fits = isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+        return None if fits else "a finite number"
+    if isinstance(default, int):
+        return None if isinstance(value, int) and not isinstance(value, bool) else "an int"
     if isinstance(value, str) or (default is None and value is None):
         return None
     return "a string" if isinstance(default, str) else "a string or null"
@@ -511,9 +522,7 @@ def train_stage1(cfg: RunConfig) -> dict:
         total, terms = stage1_step_loss(
             model, data.windows[chunk], text_by_window[chunk], data.window_image_emb[chunk], weights
         )
-        optimizer.zero_grad()
-        total.backward()
-        optimizer.step()
+        optimizer.minimize(total)
         return {name: float(term.data) for name, term in terms.items()} | {"total": float(total.data)}
 
     return _train(
@@ -534,14 +543,6 @@ def evaluate_stage1(model: SignalAutoencoder, data: Dataset, weights: LossWeight
     ]
     top = topk_retrieval(pooled, data.window_image_emb[idx], data.labels[idx], (1, TOP_K))
     return {"mse": mse, "dice": float(np.mean(dice_values)), "top1": top["label_top1"], "top5": top[f"label_top{TOP_K}"]}
-
-
-# The config fields that shape each stage's model (or, for stage 2, its
-# noise schedule): a checkpoint loads only under the values it was trained at.
-MODEL_FIELDS = {
-    1: ("channels", "samples", "latent_tokens", "latent_dim", "temporal_dim", "heads", "depth"),
-    2: ("grid", "widths", "attn_width", "attn_heads", "time_dim", "schedule_steps", "beta_min", "beta_max"),
-}
 
 
 def _load_checkpoint_into(model, cfg: RunConfig, stage: int):

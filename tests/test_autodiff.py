@@ -177,9 +177,7 @@ def train_three_steps(stage: int) -> dict:
         opt = Adam(model.params(), cfg.lr_stage1)
         for _ in range(3):
             total = stage1_loss(model, cfg, rng)
-            opt.zero_grad()
-            total.backward()
-            opt.step()
+            opt.minimize(total)
     else:
         model = build_stage2_model(cfg, rng)
         opt = Adam(apply_train_mask(model, selective_finetune_mask(model)), cfg.lr_stage2)

@@ -409,9 +409,7 @@ def inline_loss_train_step(batch, model, optimizer, rng, drop_prob, gamma=0.5):
     snr = np.clip(alpha**2 / sigma**2, 1e-8, 1e8)
     diff = ad.sub(v_tgt, pred)
     loss = ad.mean(ad.mul(Tensor(snr ** (-gamma)), ad.mul(diff, diff)))
-    optimizer.zero_grad()
-    loss.backward()
-    optimizer.step()
+    optimizer.minimize(loss)
     return float(loss.data)
 
 

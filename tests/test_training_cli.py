@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
-from eegdiff import cli, signalio, training
+from eegdiff import autodiff as ad, cli, signalio, training
 from eegdiff.autodiff import NonFiniteError, Tensor
 from eegdiff.cli import main
 from eegdiff.nn import ConfigError
@@ -30,17 +30,32 @@ from eegdiff.training import Adam, RunConfig
 
 
 def make_params():
-    return {"w": Tensor(np.array([1.0, -2.0, 3.0])), "b": Tensor(np.array([0.5]))}
+    w, b = np.array([1.0, -2.0, 3.0]), np.array([0.5])
+    return {"w": Tensor(w, requires_grad=True), "b": Tensor(b, requires_grad=True)}
 
 
-def test_adam_zero_grad_is_identity():
+def test_adam_step_without_gradients_is_identity():
     params = make_params()
     before = {k: p.data.copy() for k, p in params.items()}
     opt = Adam(params, lr=0.1)
-    opt.zero_grad()
+    assert all(p.grad is None for p in params.values())
     opt.step()
     for name, p in params.items():
         np.testing.assert_array_equal(p.data, before[name])
+
+
+def test_adam_minimize_steps_on_the_loss_gradient_alone():
+    # a stale gradient on either parameter must not reach the update
+    params, fresh = make_params(), make_params()
+    for p in params.values():
+        p.grad = np.full_like(p.data, 100.0)
+    opt, ref = Adam(params, lr=0.1), Adam(fresh, lr=0.1)
+    opt.minimize(ad.sum_(ad.mul(params["w"], params["w"])))
+    fresh["w"].grad = 2.0 * fresh["w"].data
+    ref.step()
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, fresh[name].data, err_msg=name)
+    assert params["b"].grad is None
 
 
 def test_adam_first_step_moves_by_lr():
@@ -53,12 +68,10 @@ def test_adam_first_step_moves_by_lr():
 
 
 def test_adam_descends_quadratic():
-    params = {"w": Tensor(np.array([5.0]))}
+    params = {"w": Tensor(np.array([5.0]), requires_grad=True)}
     opt = Adam(params, lr=0.2)
     for _ in range(200):
-        opt.zero_grad()
-        params["w"].grad = 2.0 * params["w"].data
-        opt.step()
+        opt.minimize(ad.sum_(ad.mul(params["w"], params["w"])))
     assert abs(params["w"].data[0]) < 0.1
 
 
@@ -585,6 +598,40 @@ def test_mistyped_config_value_exits_1(tmp_path, capsys):
     assert not (tmp_path / "data").exists()
 
 
+def test_config_takes_any_int_and_refuses_a_float_without_a_float_value(tmp_path, capsys):
+    huge = 10**400  # past the largest float
+    argv = write_config(tmp_path / "seed.json", tiny_config(str(tmp_path / "seed")), seed=huge)
+    assert main(["gen-data", *argv]) == 0
+    assert (tmp_path / "seed" / "data" / "dataset.bin").exists()
+    argv = write_config(tmp_path / "fs.json", tiny_config(str(tmp_path / "fs")), fs=huge)
+    capsys.readouterr()
+    assert main(["gen-data", *argv]) == 1
+    assert capsys.readouterr().err == f"error: config fs must be a finite number, got {huge!r}\n"
+    assert not (tmp_path / "fs").exists()
+
+
+# Each size is refused before anything is allocated: numpy's largest array
+# size or dimension is exceeded, or (latent_tokens) the anchors' 1.8 EiB
+# lie past any process's address space, so the allocation itself fails.
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"samples": 10**30},
+        {"fs": 1e308, "high": 1e307},
+        {"per_class": 10**15},
+        {"channels": 10**20},
+        {"subjects": 10**20},
+        {"latent_tokens": 10**15},
+    ],
+    ids=["samples", "fs", "per_class", "channels", "subjects", "latent_tokens"],
+)
+def test_gen_data_at_a_size_numpy_cannot_allocate_exits_1(tmp_path, changes, capsys):
+    argv = write_config(tmp_path / "config.json", RunConfig(out_dir=str(tmp_path / "run")), **changes)
+    assert main(["gen-data", *argv]) == 1
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "run" / "data").exists()
+
+
 def test_train_without_dataset_exits_1(tmp_path, capsys):
     argv = write_config(tmp_path / "config.json", tiny_config(str(tmp_path)))
     assert main(["train-stage1", *argv]) == 1
@@ -723,13 +770,42 @@ def test_checkpoint_trained_under_other_config_exits_1(ws, tmp_path, command, ch
     assert sorted(Path(ws.cfg.out_dir).rglob("*")) == outputs
 
 
+# The config fields that shape each stage's model (for stage 2, its noise
+# schedule too), in the order a refused checkpoint names them.
+MODEL_SHAPING = {
+    1: ("channels", "samples", "latent_tokens", "latent_dim", "temporal_dim", "heads", "depth"),
+    2: ("grid", "widths", "attn_width", "attn_heads", "time_dim", "schedule_steps", "beta_min", "beta_max"),
+}
+LOADERS = {1: training.load_stage1_model, 2: training.load_stage2_model}
+
+
+def rewrite_checkpoint(ws, tmp_path, stage, edit):
+    """The workspace config with its run directory in ``tmp_path``, which
+    holds the workspace's stage-``stage`` checkpoint with ``edit`` applied
+    to its meta and its records kept."""
+    cfg = replace(ws.cfg, out_dir=str(tmp_path))
+    arrays, meta = read_container(getattr(ws.cfg, f"stage{stage}_checkpoint"))
+    edit(meta)
+    write_container(getattr(cfg, f"stage{stage}_checkpoint"), arrays, meta)
+    return cfg
+
+
+@pytest.mark.parametrize("stage, field", [(stage, field) for stage, names in MODEL_SHAPING.items() for field in names])
+def test_checkpoint_trained_under_another_value_names_the_field(ws, tmp_path, stage, field):
+    value = ws.cfg.to_dict()[field]
+    other = [v + 1 for v in value] if isinstance(value, list) else value * 2
+    cfg = rewrite_checkpoint(ws, tmp_path, stage, lambda meta: meta["config"].update({field: other}))
+    differs = f"was trained under other config values: {field} {other!r} (config {value!r})"
+    with pytest.raises(ConfigError, match=re.escape(differs) + "$"):
+        LOADERS[stage](cfg)
+
+
 def test_checkpoint_without_config_names_every_field(ws, tmp_path):
-    arrays, meta = read_container(ws.cfg.stage1_checkpoint)
-    del meta["config"]
-    write_container(tmp_path / "stage1" / "autoencoder.bin", arrays, meta)
-    missing = ", ".join(f"{key} missing (config {getattr(ws.cfg, key)!r})" for key in training.MODEL_FIELDS[1])
-    with pytest.raises(ConfigError, match=re.escape(f"was trained under other config values: {missing}")):
-        training.load_stage1_model(replace(ws.cfg, out_dir=str(tmp_path)))
+    for stage, fields in MODEL_SHAPING.items():
+        cfg = rewrite_checkpoint(ws, tmp_path / str(stage), stage, lambda meta: meta.pop("config"))
+        missing = ", ".join(f"{key} missing (config {ws.cfg.to_dict()[key]!r})" for key in fields)
+        with pytest.raises(ConfigError, match=re.escape(f"was trained under other config values: {missing}") + "$"):
+            LOADERS[stage](cfg)
 
 
 def test_gen_data_checks_band_edges_before_generating(tmp_path, capsys):
