@@ -45,11 +45,12 @@ Primitives: elementwise ``add``/``sub``/``mul``/``div``/``power``/``exp``/
 ``log``/``abs_``/``minimum``/``relu``/``sigmoid``; ``matmul``; ``linear``,
 the affine map behind ``nn.Linear``; ``conv3x3``, the same-padding 3x3
 convolution behind ``diffusion.Conv3x3``, whose graph keeps its input but
-never its patch matrix; reductions and normalizers ``sum_``/``mean``/
-``softmax``/``cosine_similarity`` and ``standardize``, behind
-``nn.LayerNorm`` and ``nn.BatchNorm``; and structural ``reshape``/
-``transpose``/``concat`` and ``upsample2``, the nearest-neighbour 2x
-upsampling of the denoiser.  ``pad_last2``/``crop_last2`` no longer serve
+never its patch matrix, and ``upsample_conv3x3``, the same convolution of
+the nearest-neighbour 2x upsampled input computed at the input's
+resolution, behind the denoiser's ``up`` layer; reductions and normalizers
+``sum_``/``mean``/``softmax``/``cosine_similarity`` and ``standardize``,
+behind ``nn.LayerNorm`` and ``nn.BatchNorm``; and structural ``reshape``/
+``transpose``/``concat``.  ``pad_last2``/``crop_last2`` no longer serve
 any model: they remain only because the benchmark tracer wraps them by name
 and the reference ``Conv3x3`` of the tests is built from them.
 """
@@ -74,8 +75,7 @@ class NonFiniteError(FloatingPointError):
 # Ops whose outputs are copies, selections or bounded maps of their inputs:
 # finite inputs, which were probed when they were made, give finite outputs.
 FINITE_PRESERVING = frozenset(
-    {"reshape", "transpose", "concat", "pad_last2", "crop_last2", "upsample2",
-     "relu", "abs", "minimum", "sigmoid", "softmax"}
+    {"reshape", "transpose", "concat", "pad_last2", "crop_last2", "relu", "abs", "minimum", "sigmoid", "softmax"}
 )
 
 _grad_enabled = True
@@ -557,6 +557,15 @@ _IM2COL_SPANS = (
 CONV_BLOCK_ROWS = 1024
 
 
+def _pad_channel_last(x: np.ndarray) -> np.ndarray:
+    """The (B, H+2, W+2, C) channel-last copy of a (B, C, H, W) array with a
+    one-pixel zero border."""
+    n, c, h, w = x.shape
+    padded = np.zeros((n, h + 2, w + 2, c))
+    padded[:, 1:-1, 1:-1, :] = x.transpose(0, 2, 3, 1)
+    return padded
+
+
 def _patches(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The (n*H*W, 9*C) patch matrix of images ``lo:hi`` of a (B, C, H, W)
     array, for a same-padding 3x3 convolution (Chellapilla et al. 2006).
@@ -566,9 +575,7 @@ def _patches(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
     window view of a channel-last padded buffer.
     """
     n, (_, c, h, w) = hi - lo, x.shape
-    padded = np.zeros((n, h + 2, w + 2, c))
-    padded[:, 1:-1, 1:-1, :] = x[lo:hi].transpose(0, 2, 3, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3), axis=(1, 2))
+    windows = np.lib.stride_tricks.sliding_window_view(_pad_channel_last(x[lo:hi]), (3, 3), axis=(1, 2))
     cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, 9 * c)
     if x.shape[0] == 1:
         # Conv3x3 outputs at batch 1 have always come from a column-major
@@ -635,29 +642,105 @@ def conv3x3(x, w, b) -> Tensor:
     )
 
 
-def upsample2(x) -> Tensor:
-    """Nearest-neighbour 2x upsampling of a (B, C, H, W) tensor.
+# Output row 2i + p (p the phase) of a 2x upsampled map reads coarse rows
+# i + p - 1 and i + p: the 3x3 tap d of phase p folds into its 2-tap kernel
+# at index _PHASE_TAPS[p][d] (phase 0: taps 0 | 1+2, phase 1: 0+1 | 2).
+_PHASE_TAPS = ((0, 1, 1), (0, 0, 1))
+_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    The forward pass is one broadcast copy into a channel-last (B, H, 2, W,
-    2, C) buffer, returned as its (B, C, 2H, 2W) view, so the ``conv3x3``
-    patch copy of the result reads contiguous rows.  The backward pass sums
-    each 2x2 gradient block as ``(g00 + g01) + (g10 + g11)`` (row, column)
-    and returns the channel-last (B, C, H, W) view of the sum.
+
+def _fold_taps(w3: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Phase (p, q)'s (2, 2, C, N) kernel from the (3, 3, C, N) taps."""
+    folded = np.zeros((2, 2) + w3.shape[2:])
+    for dy, ty in enumerate(_PHASE_TAPS[p]):
+        for dx, tx in enumerate(_PHASE_TAPS[q]):
+            folded[ty, tx] += w3[dy, dx]
+    return folded
+
+
+def _phase_patches(padded: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The (n*H*W, 4*C) patch matrix of phase (p, q) of a zero-bordered
+    channel-last (n, H+2, W+2, C) coarse map: row ``(b, i, j)`` holds the
+    2x2 window whose corner is padded pixel ``(i + p, j + q)``, columns
+    ordered (ty, tx, c)."""
+    n, h, w, c = padded.shape[0], padded.shape[1] - 2, padded.shape[2] - 2, padded.shape[3]
+    windows = np.lib.stride_tricks.sliding_window_view(padded[:, p : p + h + 1, q : q + w + 1], (2, 2), axis=(1, 2))
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, 4 * c)
+
+
+def upsample_conv3x3(x, w, b) -> Tensor:
+    """``conv3x3(upsample2(x), w, b)`` of a (B, C, H, W) tensor, where
+    ``upsample2`` is nearest-neighbour 2x upsampling, as one node at the
+    coarse resolution (sub-pixel convolution, Shi et al. 2016).
+
+    ``w`` (9*C, N) and ``b`` (N,) are ``conv3x3``'s.  Each output phase
+    (p, q), the pixels (2i + p, 2j + q), is a 2x2 convolution of ``x``
+    whose taps are sums of the 3x3 taps (:data:`_PHASE_TAPS`): four GEMMs
+    with K = 4C over B*H*W rows, where the upsampled convolution has one
+    with K = 9C over 4*B*H*W.  The phases are written into one channel-last
+    (B, 2H, 2W, N) buffer, returned as its (B, N, 2H, 2W) view.  The VJPs
+    keep ``x``, never the phase patches:
+
+    * ``x``: each phase's ``g @ w_pq.T``, its four taps added at their
+      coarse offsets into one zeroed channel-last buffer, returned as its
+      (B, C, H, W) view;
+    * ``w``: each phase's patches, rebuilt from ``x``, transposed times
+      ``g``, every phase tap's gradient added back to the 3x3 taps it sums;
+    * ``b``: ``g`` as (B*4*H*W, N) rows, which the engine sums.
+
+    Values and gradients differ from the upsampled ``conv3x3``'s only by
+    the rounding of the folded taps.
     """
-    x = as_tensor(x)
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4:
-        raise ShapeError(f"upsample2 requires (batch, channels, H, W), got {x.shape}")
-    b, c, h, w = x.shape
-    tiled = np.empty((b, h, 2, w, 2, c))
-    tiled[...] = x.data.transpose(0, 2, 3, 1)[:, :, None, :, None, :]
+        raise ShapeError(f"upsample_conv3x3 requires x of (batch, channels, H, W), got {x.shape}")
+    n, c, h, wd = x.shape
+    if w.ndim != 2 or w.shape[0] != 9 * c:
+        raise ShapeError(f"upsample_conv3x3 weight {w.shape} does not match {c} input channels")
+    if b.shape != w.shape[1:]:
+        raise ShapeError(f"upsample_conv3x3 bias {b.shape} does not match the weight {w.shape}")
+    c_out, rows = w.shape[1], n * h * wd
+    w3 = w.data.reshape(3, 3, c, c_out)
+    padded = _pad_channel_last(x.data)
+    out = np.empty((n, h, 2, wd, 2, c_out))
+    # a tap sum or a product may overflow: the output probe names the op
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernels = [_fold_taps(w3, p, q).reshape(4 * c, c_out) for p, q in _PHASES]
+        for (p, q), kernel in zip(_PHASES, kernels):
+            phase = np.matmul(_phase_patches(padded, p, q), kernel).reshape(n, h, wd, c_out)
+            np.add(phase, b.data, out=out[:, :, p, :, q])
 
-    def vjp(g):
-        g = g.transpose(0, 2, 3, 1).reshape(b, h, 2, w, 2, c)
-        top = g[:, :, 0, :, 0] + g[:, :, 0, :, 1]
-        np.add(top, g[:, :, 1, :, 0] + g[:, :, 1, :, 1], out=top)
-        return top.transpose(0, 3, 1, 2)
+    def g_phases(g):
+        """The (B*H*W, N) output-gradient rows of each phase."""
+        g6 = g.transpose(0, 2, 3, 1).reshape(n, h, 2, wd, 2, c_out)
+        return [g6[:, :, p, :, q].reshape(rows, c_out) for p, q in _PHASES]
 
-    return _make(tiled.reshape(b, 2 * h, 2 * w, c).transpose(0, 3, 1, 2), (x,), (vjp,), "upsample2")
+    def x_vjp(g):
+        acc = np.zeros((n, h, wd, c))
+        for (p, q), kernel, g_pq in zip(_PHASES, kernels, g_phases(g)):
+            g_cols = np.matmul(g_pq, kernel.T).reshape(n, h, wd, 2, 2, c)
+            # tap (ty, tx) of phase (p, q) reads x at offset (p + ty - 1, q + tx - 1)
+            for ty in range(2):
+                src_y, dst_y = _IM2COL_SPANS[p + ty]
+                for tx in range(2):
+                    src_x, dst_x = _IM2COL_SPANS[q + tx]
+                    acc[:, dst_y, dst_x, :] += g_cols[:, src_y, src_x, ty, tx, :]
+        return acc.transpose(0, 3, 1, 2)
+
+    def w_vjp(g):
+        padded = _pad_channel_last(x.data)
+        grad = np.zeros((3, 3, c, c_out))
+        for (p, q), g_pq in zip(_PHASES, g_phases(g)):
+            g_taps = np.matmul(_phase_patches(padded, p, q).T, g_pq).reshape(2, 2, c, c_out)
+            grad += g_taps[_PHASE_TAPS[p], :][:, _PHASE_TAPS[q]]
+        return grad.reshape(9 * c, c_out)
+
+    return _make(
+        out.reshape(n, 2 * h, 2 * wd, c_out).transpose(0, 3, 1, 2),
+        (x, w, b),
+        (x_vjp, w_vjp, lambda g: g.transpose(0, 2, 3, 1).reshape(4 * rows, c_out)),
+        "upsample_conv3x3",
+    )
 
 
 # -- gradient checking -----------------------------------------------------

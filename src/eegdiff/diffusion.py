@@ -128,19 +128,23 @@ def timestep_embedding(t, dim: int) -> np.ndarray:
 
 
 class Conv3x3(Module):
-    """3x3 same-padding convolution: one ``ad.conv3x3`` node.
+    """3x3 same-padding convolution: one ``ad.conv3x3`` node, or with
+    ``upsample`` one ``ad.upsample_conv3x3`` node, which convolves the
+    nearest-neighbour 2x upsampling of its input.
 
     ``w`` is (9*c_in, c_out) with rows ordered (dy, dx, c), the column order
-    of the op's patch matrix; ``b`` is (c_out,).
+    of the op's patch matrix; ``b`` is (c_out,).  Both ops take the same
+    weights, so the records do not depend on ``upsample``.
     """
 
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int):
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, upsample: bool = False):
         self.c_in, self.c_out = c_in, c_out
         self.w = Tensor(glorot_uniform(rng, 9 * c_in, c_out, (9 * c_in, c_out)), requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
+        self.op = ad.upsample_conv3x3 if upsample else ad.conv3x3
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.conv3x3(x, self.w, self.b)
+        return self.op(x, self.w, self.b)
 
 
 def avg_pool2(x: Tensor) -> Tensor:
@@ -209,7 +213,7 @@ class Denoiser(Module):
         self.down = Conv3x3(rng, w1, w2)
         self.mid = Conv3x3(rng, w2, w2)
         self.xattn2 = CrossAttention(rng, w2, cfg.cond_dim, cfg.attn_width, cfg.attn_heads)
-        self.up = Conv3x3(rng, w2, w1)
+        self.up = Conv3x3(rng, w2, w1, upsample=True)
         self.dec1 = Conv3x3(rng, w1, w1)
         self.conv_out = Conv3x3(rng, w1, cin)
 
@@ -251,7 +255,8 @@ class Denoiser(Module):
         d = ad.relu(ad.add(self.down(d), self.time_proj2(tf).reshape(b, w2, 1, 1)))
         d = ad.relu(self.mid(d))
         d = self.xattn2(d, cond)
-        u = self.up(ad.upsample2(d))
+        # up upsamples d 2x as it convolves, at d's resolution
+        u = self.up(d)
         h = ad.relu(ad.add(skip, u))
         h = ad.relu(self.dec1(h))
         return self.conv_out(h)

@@ -24,6 +24,7 @@ import numpy as np
 from . import autodiff as ad, signalio
 from .autodiff import NonFiniteError, Tensor
 from .diffusion import (
+    ADAPTER_TOKENS,
     DenoiserConfig,
     Stage2Model,
     apply_train_mask,
@@ -105,6 +106,17 @@ class Adam:
 # The k of the top-5 retrieval metrics: the validation and test splits,
 # which they score, must hold at least this many windows.
 TOP_K = 5
+
+# The most parameters a stage's model may hold: 10**8 float64 values are
+# 800 MB, and training keeps four arrays of each parameter's size (the
+# value, its gradient and Adam's two moments).
+MAX_PARAMETERS = 10**8
+
+# The config fields each stage's parameter count depends on.
+SIZE_FIELDS = {
+    1: ("channels", "samples", "latent_tokens", "latent_dim", "temporal_dim", "depth"),
+    2: ("latent_tokens", "latent_dim", "grid", "widths", "attn_width", "time_dim"),
+}
 
 @dataclass
 class RunConfig:
@@ -191,6 +203,12 @@ class RunConfig:
             raise ConfigError(f"time_dim must be even, got {self.time_dim}")
         if self.attn_width % self.attn_heads:
             raise ConfigError(f"attn_width {self.attn_width} not divisible by attn_heads {self.attn_heads}")
+        for stage, count in parameter_counts(self).items():
+            if count > MAX_PARAMETERS:
+                raise ConfigError(
+                    f"the stage-{stage} model would hold {count} parameters, more than {MAX_PARAMETERS}: "
+                    f"reduce {', '.join(SIZE_FIELDS[stage])}"
+                )
         weights = self.loss_weights
         for name in ("recon", "align", "contrast", "sdsc", "mse", "cos"):
             if getattr(weights, name) < 0:
@@ -345,6 +363,23 @@ def _type_mismatch(value, default) -> str | None:
     if isinstance(value, str) or (default is None and value is None):
         return None
     return "a string" if isinstance(default, str) else "a string or null"
+
+
+def parameter_counts(cfg: RunConfig) -> dict[int, int]:
+    """Each stage's number of parameters under ``cfg``, in closed form: the
+    weights and biases that ``SignalAutoencoder`` (stage 1) and
+    ``Stage2Model`` (stage 2) would allocate, so a size can be refused
+    before any of them is."""
+    c, s, t, lt, d = cfg.channels, cfg.samples, cfg.temporal_dim, cfg.latent_tokens, cfg.latent_dim
+    temporal = (s * t + t) + 2 * t + (0 if s == t else s * t)  # proj, batch norm, shortcut
+    spatial = 4 * (t * t + t) + 2 * t  # q, k, v, out, layer norm
+    codec = 2 * c * lt + (t * d + d) + (d * t + t) + (t * s + s)
+    cin, (w1, w2), td, aw = cfg.grid[0], cfg.widths, cfg.time_dim, cfg.attn_width
+    adapter = (d * ADAPTER_TOKENS * d + ADAPTER_TOKENS * d) + 2 * d + (d * d + d) + (lt + ADAPTER_TOKENS) * d
+    time = 2 * (td * td + td) + (td * w1 + w1) + (td * w2 + w2)
+    convs = sum(9 * a * z + z for a, z in ((cin, w1), (w1, w1), (w1, w2), (w2, w2), (w2, w1), (w1, w1), (w1, cin)))
+    attention = sum(2 * w + w * aw + 2 * d * aw + (aw * w + w) for w in (w1, w2))
+    return {1: temporal + cfg.depth * spatial + codec, 2: adapter + time + convs + attention}
 
 
 def _check_scored_splits(whose: str, val: int, test: int) -> None:
@@ -691,8 +726,13 @@ def primitive_cases(rng: np.random.Generator) -> dict:
         lambda x: ad.sum_(ad.mul(ad.linear(x, ad.mean(x, axis=0), ad.mean(x, axis=(0, 1))), w_lin)),
         rng.normal(size=(2, 4, 4)),
     )
-    w_up = Tensor(rng.normal(size=(2, 2, 4, 6)))
-    cases["upsample2"] = (lambda x: ad.sum_(ad.mul(ad.upsample2(x), w_up)), rng.normal(size=(2, 2, 2, 3)))
+    # drawn last, as conv3x3's case: the (2, 2, 3, 3) leaf, its (18, 2)
+    # reshape as the weight and its channel mean as the bias
+    w_up = Tensor(rng.normal(size=(2, 2, 6, 6)))
+    cases["upsample-conv3x3"] = (
+        lambda x: ad.sum_(ad.mul(ad.upsample_conv3x3(x, ad.reshape(x, (18, 2)), ad.mean(x, axis=(0, 2, 3))), w_up)),
+        rng.normal(size=(2, 2, 3, 3)),
+    )
     return cases
 
 

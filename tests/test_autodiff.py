@@ -97,6 +97,7 @@ MULTI_PARENT = {
     "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
     "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
     "conv3x3": (ad.conv3x3, [(2, 3, 4, 5), (27, 2), (2,)]),
+    "upsample_conv3x3": (ad.upsample_conv3x3, [(2, 3, 2, 3), (27, 2), (2,)]),
     "minimum": (ad.minimum, [(3, 4), (1, 4)]),
     "cosine_similarity": (ad.cosine_similarity, [(3, 1, 5), (1, 4, 5)]),
     "concat": (lambda *parts: ad.concat(parts, axis=1), [(2, 1, 3), (2, 2, 3), (2, 3, 3)]),
@@ -459,54 +460,64 @@ def test_stage2_graph_holds_no_patch_matrix():
         (b * (h // scale) * (w // scale), 9 * conv.c_in)
         for conv, scale in (
             (model.denoiser.conv_in, 1), (model.denoiser.enc1, 1), (model.denoiser.down, 2),
-            (model.denoiser.mid, 2), (model.denoiser.up, 1), (model.denoiser.dec1, 1),
-            (model.denoiser.conv_out, 1),
+            (model.denoiser.mid, 2), (model.denoiser.dec1, 1), (model.denoiser.conv_out, 1),
         )
     }
+    # up's phase patches, at the resolution of its input
+    patch_shapes.add((b * (h // 2) * (w // 2), 4 * model.denoiser.up.c_in))
     arrays = _retained_arrays(loss)
     assert len(arrays) > 100  # the walk reached the denoiser
     assert not [a.shape for a in arrays if a.shape in patch_shapes or a.shape[::-1] in patch_shapes]
 
 
-def composite_upsample2(x):
-    """The reshape, broadcast ``mul`` and reshape that upsampled before
-    ``ad.upsample2``."""
+def reference_upsample2(x):
+    """The nearest-neighbour 2x upsampling op that ran before
+    ``ad.upsample_conv3x3``: a broadcast copy into a channel-last buffer,
+    returned as its (B, C, 2H, 2W) view, whose VJP sums each 2x2 block."""
     b, c, h, w = x.shape
-    tiled = ad.mul(x.reshape(b, c, h, 1, w, 1), Tensor(np.ones((1, 1, 1, 2, 1, 2))))
-    return tiled.reshape(b, c, 2 * h, 2 * w)
+    tiled = np.empty((b, h, 2, w, 2, c))
+    tiled[...] = x.data.transpose(0, 2, 3, 1)[:, :, None, :, None, :]
+
+    def vjp(g):
+        g = g.transpose(0, 2, 3, 1).reshape(b, h, 2, w, 2, c)
+        top = g[:, :, 0, :, 0] + g[:, :, 0, :, 1]
+        np.add(top, g[:, :, 1, :, 0] + g[:, :, 1, :, 1], out=top)
+        return top.transpose(0, 3, 1, 2)
+
+    return ad._make(tiled.reshape(b, 2 * h, 2 * w, c).transpose(0, 3, 1, 2), (x,), (vjp,), "upsample2")
 
 
-@pytest.mark.parametrize("shape", [(64, 64, 4, 4), (3, 5, 1, 2), (1, 4, 3, 2)])
-def test_upsample2_matches_composite_on_channel_last_input(shape, rng):
-    # as in the denoiser: a Conv3x3 output, channel-last in memory, upsampled
-    # into another Conv3x3
-    b, c, h, w = shape
-    pre, up = Conv3x3(rng, 3, c), Conv3x3(rng, c, 5)
-    pre.b.data = rng.normal(size=c)
-    x_data = rng.normal(size=(b, 3, h, w))
-    weight = rng.normal(size=(b, 5, 2 * h, 2 * w))
+# batch 1 is a single image, 16 the training batch and 64 the sampler batch,
+# at the shape of the denoiser's up conv (64 channels at 4x4 -> 32 at 8x8)
+@pytest.mark.parametrize("batch", [1, 16, 64])
+def test_upsample_conv3x3_matches_composite(batch):
+    rng = np.random.default_rng(np.random.SeedSequence([27, batch]))
+    c_in, c_out, h, w = 64, 32, 4, 4
+    # channel-last input, as the cross-attention output the denoiser feeds it
+    x_data = np.ascontiguousarray(rng.normal(size=(batch, h, w, c_in))).transpose(0, 3, 1, 2)
+    values = [x_data, rng.normal(size=(9 * c_in, c_out)), rng.normal(size=c_out)]
+    weight = rng.normal(size=(batch, c_out, 2 * h, 2 * w))
     runs = []
-    for upsample in (ad.upsample2, composite_upsample2):
-        x = Tensor(x_data, requires_grad=True)
-        feature = pre(x)
-        assert feature.data.strides[1] == feature.data.itemsize  # channel-last
-        # backward keeps only leaf gradients: read the feature map's from a
-        # leaf that holds the same channel-last array
-        leaf = Tensor(feature.data, requires_grad=True)
-        ad.sum_(ad.mul(up(upsample(leaf)), weight)).backward()
-        tiled = upsample(feature)
-        ad.sum_(ad.mul(up(tiled), weight)).backward()
-        runs.append((tiled.data, leaf.grad, x.grad, pre.w.grad, up.w.grad, up.b.grad))
-    for new, old in zip(*runs):
-        assert np.array_equal(new, old)
-    # the gradient comes back laid out like the feature map, so it is adopted
-    assert runs[0][1].strides == feature.data.strides
+    for fn in (ad.upsample_conv3x3, lambda x, w, b: ad.conv3x3(reference_upsample2(x), w, b)):
+        inputs = [Tensor(v, requires_grad=True) for v in values]
+        y = fn(*inputs)
+        ad.sum_(ad.mul(y, weight)).backward()
+        runs.append([y] + [t.grad for t in inputs])
+    y, new_grads = runs[0][0], runs[0][1:]
+    assert y._op == "upsample_conv3x3" and y._parents[0].data is x_data
+    assert y.data.strides == runs[1][0].data.strides  # channel-last, as conv3x3's
+    # the input gradient comes back laid out like the input, so it is adopted
+    assert new_grads[0].strides == x_data.strides
+    # the folded taps round differently: relative to each array's largest
+    # entry, since an entry near zero can come from cancellation
+    for new, old in zip([y.data] + new_grads, [runs[1][0].data] + runs[1][1:]):
+        np.testing.assert_allclose(new, old, rtol=0.0, atol=1e-12 * np.abs(old).max())
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 2, 3, 4, 5)])
-def test_upsample2_requires_4d(shape):
-    with pytest.raises(ShapeError):
-        ad.upsample2(Tensor(np.ones(shape)))
+def test_upsample_conv3x3_overflow_names_the_op():
+    x = Tensor(np.ones((1, 2, 2, 2)))
+    with pytest.raises(NonFiniteError, match="upsample_conv3x3"):
+        ad.upsample_conv3x3(x, Tensor(np.full((18, 3), 1e308)), Tensor(np.zeros(3)))
 
 
 def test_nonfinite_probe_raises():
@@ -524,7 +535,6 @@ FINITE_CASES = {
     "concat": lambda x, y: ad.concat([x, y], axis=1),
     "pad_last2": lambda x, y: ad.pad_last2(x, 1),
     "crop_last2": lambda x, y: ad.crop_last2(x, 1, 0, 2, 3),
-    "upsample2": lambda x, y: ad.upsample2(x),
     "relu": lambda x, y: ad.relu(x),
     "abs": lambda x, y: ad.abs_(x),
     "minimum": lambda x, y: ad.minimum(x, y),
@@ -661,10 +671,25 @@ def test_conv3x3_requires_4d(shape):
         ad.conv3x3(Tensor(np.ones(shape)), Tensor(np.ones((9 * shape[1], 2))), Tensor(np.ones(2)))
 
 
-@pytest.mark.parametrize("w,b", [((27, 2), (3,)), ((18, 2), (2,)), ((27, 2, 1), (2, 1)), ((27, 2), (1, 2))])
+CONV_WEIGHT_MISMATCHES = [((27, 2), (3,)), ((18, 2), (2,)), ((27, 2, 1), (2, 1)), ((27, 2), (1, 2))]
+
+
+@pytest.mark.parametrize("w,b", CONV_WEIGHT_MISMATCHES)
 def test_conv3x3_shape_errors(w, b):
     with pytest.raises(ShapeError):
         ad.conv3x3(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(w)), Tensor(np.ones(b)))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 2, 3, 4, 5)])
+def test_upsample_conv3x3_requires_4d(shape):
+    with pytest.raises(ShapeError):
+        ad.upsample_conv3x3(Tensor(np.ones(shape)), Tensor(np.ones((9 * shape[1], 2))), Tensor(np.ones(2)))
+
+
+@pytest.mark.parametrize("w,b", CONV_WEIGHT_MISMATCHES)
+def test_upsample_conv3x3_shape_errors(w, b):
+    with pytest.raises(ShapeError):
+        ad.upsample_conv3x3(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(w)), Tensor(np.ones(b)))
 
 
 def test_gradient_audit_covers_every_op(monkeypatch):

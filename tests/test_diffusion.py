@@ -90,12 +90,14 @@ def test_timestep_embedding_properties():
 # -- spatial helpers -------------------------------------------------------------
 
 
-def test_pool_and_upsample_inverse_on_constant():
+def test_pool_and_upsample_inverse_on_constant(rng):
     x = Tensor(np.ones((2, 3, 4, 4)))
     down = avg_pool2(x)
     assert down.shape == (2, 3, 2, 2)
-    up = ad.upsample2(down)
-    np.testing.assert_array_equal(up.data, np.ones((2, 3, 4, 4)))
+    # an upsampling conv whose one tap is the centre's identity map
+    up = Conv3x3(rng, 3, 3, upsample=True)
+    up.w.data = np.kron(np.eye(9)[4], np.eye(3)).T
+    np.testing.assert_array_equal(up(down).data, np.ones((2, 3, 4, 4)))
     with pytest.raises(ShapeError):
         avg_pool2(Tensor(np.ones((1, 1, 3, 4))))
 
@@ -145,6 +147,21 @@ def test_conv3x3_matches_padded_crop_reference(shape, c_out):
     for new, old in zip(*runs):
         np.testing.assert_array_equal(new, old)
     np.testing.assert_allclose(runs[0][0], loop_conv(conv, x_data), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("channel_last", [False, True])
+@pytest.mark.parametrize("shape,c_out", [((2, 3, 1, 1), 2), ((3, 2, 3, 5), 4)])
+def test_upsample_conv3x3_matches_loop_conv_of_repeated_input(shape, c_out, channel_last):
+    rng = np.random.default_rng(11)
+    conv = Conv3x3(rng, shape[1], c_out, upsample=True)
+    conv.b.data = rng.normal(size=c_out)
+    x = rng.normal(size=shape)
+    if channel_last:
+        x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+    y = conv(Tensor(x))
+    assert y._op == "upsample_conv3x3"
+    fine = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
+    np.testing.assert_allclose(y.data, loop_conv(conv, fine), rtol=1e-12, atol=1e-12)
 
 
 # -- model and mask ---------------------------------------------------------------

@@ -610,9 +610,9 @@ def test_config_takes_any_int_and_refuses_a_float_without_a_float_value(tmp_path
     assert not (tmp_path / "fs").exists()
 
 
-# Each size is refused before anything is allocated: numpy's largest array
-# size or dimension is exceeded, or (latent_tokens) the anchors' 1.8 EiB
-# lie past any process's address space, so the allocation itself fails.
+# Each size is refused before anything is allocated: the model-size check
+# of the config refuses samples, channels and latent_tokens, and numpy's
+# largest array size or dimension is exceeded by the others.
 @pytest.mark.parametrize(
     "changes",
     [
@@ -630,6 +630,42 @@ def test_gen_data_at_a_size_numpy_cannot_allocate_exits_1(tmp_path, changes, cap
     assert main(["gen-data", *argv]) == 1
     assert_one_error_line(capsys)
     assert not (tmp_path / "run" / "data").exists()
+
+
+def test_an_allocation_failure_ends_in_one_error_line(tmp_path, monkeypatch, capsys):
+    # the model-size check now refuses latent_tokens 10**15, the one size
+    # above that reached numpy's MemoryError, so the command raises it here
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 1.80 EiB")
+
+    monkeypatch.setattr(cli, "generate_dataset", no_memory)
+    argv = write_config(tmp_path / "config.json", tiny_config(str(tmp_path)))
+    assert main(["gen-data", *argv]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 1.80 EiB\n"
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [RunConfig(), tiny_config(), RunConfig(samples=128, grid=(3, 4, 6), widths=(5, 7), attn_width=6, attn_heads=3)],
+    ids=["default", "tiny", "no-shortcut"],
+)
+def test_parameter_counts_match_the_built_models(cfg):
+    rng = np.random.default_rng(0)
+    built = {
+        1: training.SignalAutoencoder(cfg.encoder_config(), rng),
+        2: training.build_stage2_model(cfg, rng),
+    }
+    sizes = {stage: sum(p.data.size for p in model.params().values()) for stage, model in built.items()}
+    assert training.parameter_counts(cfg) == sizes
+
+
+def test_oversized_model_is_refused_before_any_file(tmp_path, capsys):
+    argv = write_config(tmp_path / "config.json", RunConfig(out_dir=str(tmp_path / "run")), depth=10**11)
+    assert main(["train-stage1", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the stage-1 model would hold ") and err.count("\n") == 1, err
+    assert "depth" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_without_dataset_exits_1(tmp_path, capsys):
