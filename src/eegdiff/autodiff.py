@@ -291,11 +291,12 @@ def matmul(a, b) -> Tensor:
 def linear(x, w, b=None) -> Tensor:
     """Affine map ``x @ w (+ b)`` as one node: the bias is added in place
     into the fresh GEMM output, so the layer makes one (..., N) array, one
-    probe and one graph node.  Values and gradients equal those of
-    ``add(matmul(x, w), b)``.  For ``x`` of ndim >= 3, ``w``'s gradient is
-    never the batched product: each ``x[i].T @ g[i]`` goes into one (K, N)
-    scratch buffer and is added, in index order, into a zeroed sum, the
-    order and the +0.0 start of numpy's reduce over the leading axes.
+    probe and one graph node.  Values equal those of
+    ``add(matmul(x, w), b)``.  Each VJP is one 2-D GEMM over the rows of
+    all leading axes: ``x``'s gradient is ``g.reshape(-1, N) @ w.T`` and
+    ``w``'s is ``x.reshape(-1, K).T @ g.reshape(-1, N)``.  For 2-D ``x``
+    these are that composite's gradients; for ndim >= 3 they differ from
+    its batched products only in rounding.
     """
     x, w = as_tensor(x), as_tensor(w)
     if x.ndim < 2 or w.ndim != 2:
@@ -303,19 +304,11 @@ def linear(x, w, b=None) -> Tensor:
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear inner dims differ: {x.shape} @ {w.shape}")
     data = np.matmul(x.data, w.data)
-
-    def w_vjp(g):
-        if x.ndim == 2:
-            return np.matmul(x.data.T, g)
-        acc = np.zeros(w.shape)
-        part = np.empty_like(acc)
-        for i in np.ndindex(x.shape[:-2]):
-            np.matmul(x.data[i].T, g[i], out=part)
-            acc += part
-        return acc
-
     parents = [x, w]
-    vjps = [lambda g: np.matmul(g, w.data.T), w_vjp]
+    vjps = [
+        lambda g: np.matmul(g.reshape(-1, w.shape[1]), w.data.T).reshape(x.shape),
+        lambda g: np.matmul(x.data.reshape(-1, w.shape[0]).T, g.reshape(-1, w.shape[1])),
+    ]
     if b is not None:
         b = as_tensor(b)
         if b.shape != w.shape[1:]:

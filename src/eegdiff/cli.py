@@ -69,8 +69,8 @@ OVERRIDES = (
 def steady_heap() -> bool:
     """Keep freed heap memory in this process; True if glibc took both values.
 
-    Each guided-sampling denoiser branch grows the heap by about 10 MB and
-    frees it, above glibc's dynamic trim threshold, so by default glibc
+    Each guided-sampling denoiser branch grows the heap by up to 8.07 MB
+    and frees it, above glibc's dynamic trim threshold, so by default glibc
     returns the memory to the kernel and faults it back in at the next
     branch.  Setting one threshold alone turns off glibc's dynamic
     adjustment of both, so both are set.  Outputs do not depend on this.

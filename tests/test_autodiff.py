@@ -298,6 +298,36 @@ def test_linear_shape_errors(x, w, b):
 LINEAR_SHAPES = [((256, 288), (288, 32)), ((16, 64, 32), (32, 32))]
 
 
+def _laid_out_like(value, like):
+    """``value`` in the layout the engine stores a gradient of ``like`` in."""
+    out = np.empty_like(like)
+    out[...] = value
+    return out
+
+
+def folded_linear(x, w, g, b=None):
+    """``linear``'s output and the gradients of x, w (and b) for the output
+    gradient ``g``, each VJP as one 2-D GEMM over the rows of all leading
+    axes, and each gradient laid out like its input."""
+    k, n = w.shape
+    y = np.matmul(x, w)
+    if b is not None:
+        y = y + b
+    grads = [np.matmul(g.reshape(-1, n), w.T).reshape(x.shape), np.matmul(x.reshape(-1, k).T, g.reshape(-1, n))]
+    if b is not None:
+        grads.append(g.sum(axis=tuple(range(g.ndim - 1))))
+    return [y] + [_laid_out_like(grad, v) for grad, v in zip(grads, (x, w, b))]
+
+
+def assert_folded(new, reference, batched):
+    """``new`` has the bytes (signed zeros included) and strides of the 2-D
+    GEMM ``reference``, and lies within 1e-12 of the largest entry of the
+    ``batched`` products' result."""
+    assert new.tobytes() == reference.tobytes()
+    assert new.strides == reference.strides
+    assert np.abs(new - batched).max() <= 1e-12 * np.abs(batched).max()
+
+
 @pytest.mark.parametrize("bias", [True, False])
 @pytest.mark.parametrize("x_shape,w_shape", LINEAR_SHAPES)
 def test_linear_matches_add_of_matmul(x_shape, w_shape, bias, rng):
@@ -316,9 +346,11 @@ def test_linear_matches_add_of_matmul(x_shape, w_shape, bias, rng):
         y = fn(*inputs)
         ad.sum_(ad.mul(y, weight)).backward()
         runs.append([y.data] + [t.grad for t in inputs])
-    for new, old in zip(*runs):
-        assert np.array_equal(new, old)
-        assert new.strides == old.strides
+    for new, reference, old in zip(runs[0], folded_linear(*values[:2], weight, *values[2:]), runs[1]):
+        assert_folded(new, reference, old)
+        if len(x_shape) == 2:
+            # one GEMM per VJP is the composite's own arithmetic
+            assert np.array_equal(new, old) and new.strides == old.strides
 
 
 def _transposed(shape, rng):
@@ -328,8 +360,10 @@ def _transposed(shape, rng):
     return rng.normal(size=(b, n, m)).transpose(0, 2, 1)
 
 
-# (x, d_out) of the 3-D ``linear`` calls of the default models, plus batch 1
-# and a case whose ``g`` is -0.0 in some columns of every slice
+# (x, d_out) of the 3-D ``linear`` calls of the default models, plus batch 1,
+# a case whose ``g`` is -0.0 in some columns of every slice, an ``x`` of
+# ndim 4, and a ``g`` that is a transposed view (the engine hands ``linear``
+# a dense ``g``, but its VJPs take any layout)
 LINEAR_WEIGHT_CASES = {
     "spatial_qkv_out": (lambda rng: rng.normal(size=(16, 16, 128)), 128),
     "enc_tokens": (lambda rng: _transposed((16, 128, 16), rng), 8),
@@ -339,6 +373,8 @@ LINEAR_WEIGHT_CASES = {
     "xattn_kv": (lambda rng: rng.normal(size=(16, 12, 32)), 32),
     "batch1": (lambda rng: rng.normal(size=(1, 16, 128)), 128),
     "signed_zeros": (lambda rng: np.abs(rng.normal(size=(16, 12, 32))), 32),
+    "ndim4": (lambda rng: rng.normal(size=(4, 4, 16, 32)), 16),
+    "noncontiguous_g": (lambda rng: rng.normal(size=(16, 12, 32)), 24),
 }
 
 
@@ -351,11 +387,16 @@ def test_linear_weight_grad_matches_batched_sum(case):
     if case == "signed_zeros":
         # every slice's products in these columns are -0.0
         g[..., ::3] = -0.0
+    if case == "noncontiguous_g":
+        g = np.ascontiguousarray(g.transpose(0, 2, 1)).transpose(0, 2, 1)
+    x = Tensor(x_data, requires_grad=True)
     w = Tensor(rng.normal(size=(x_data.shape[-1], d_out)), requires_grad=True)
-    ad.sum_(ad.mul(ad.linear(Tensor(x_data), w), g)).backward()
-    expected = np.matmul(np.swapaxes(x_data, -1, -2), g).sum(axis=0)
-    assert w.grad.tobytes() == expected.tobytes()  # signed zeros included
-    assert w.grad.strides == expected.strides
+    # the engine's backward step through the one linear node, for this g
+    ad.linear(x, w)._backward(g)
+    _, x_ref, w_ref = folded_linear(x_data, w.data, g)
+    batched_w = np.matmul(np.swapaxes(x_data, -1, -2), g).sum(axis=tuple(range(x_data.ndim - 2)))
+    assert_folded(w.grad, w_ref, batched_w)
+    assert_folded(x.grad, x_ref, np.matmul(g, w.data.T))
 
 
 def reference_im2col3x3(x):
@@ -809,7 +850,8 @@ def directional_error(loss, params: dict, directions: int = 3, epsilon: float = 
 @pytest.mark.parametrize("stage", [1, 2])
 def test_directional_gradient_at_default_sizes(stage):
     # the default sizes reach code the tiny audit config does not: the
-    # multi-block conv3x3 path and the slice-wise linear weight gradient
+    # multi-block conv3x3 path and linear's folded VJPs at the encoder's
+    # GEMM sizes
     loss, params = default_size_step_loss(stage)
     assert directional_error(loss, params) < 1e-6
 

@@ -1,13 +1,14 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
 from eegdiff.signalio import write_container, write_csv
 
-SPEC = importlib.util.spec_from_file_location(
-    "output_diff", Path(__file__).resolve().parents[1] / "tools" / "output_diff.py"
-)
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_diff.py"
+SPEC = importlib.util.spec_from_file_location("output_diff", TOOL)
 output_diff = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(output_diff)
 
@@ -63,3 +64,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert output_diff.main([str(tmp_path)]) == 2
     assert output_diff.main([str(tmp_path), str(tmp_path / "missing")]) == 2
     assert "is not a directory" in capsys.readouterr().err
+
+
+def test_a_closed_pipe_ends_quietly(tmp_path):
+    # 1500 differing columns print about 100 kB, more than a pipe holds
+    columns = [f"c{i:04d}" for i in range(1500)]
+    write_csv(tmp_path / "base" / "wide.csv", columns, [[1.0] * len(columns)])
+    write_csv(tmp_path / "change" / "wide.csv", columns, [[2.0] * len(columns)])
+    with subprocess.Popen([sys.executable, str(TOOL), str(tmp_path / "base"), str(tmp_path / "change")],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as child:
+        assert child.stdout.readline().startswith("wide.csv: column c0000: ")
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
+    assert "Traceback" not in err, err

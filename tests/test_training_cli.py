@@ -935,7 +935,7 @@ def test_steady_heap_keeps_guided_sampling_from_faulting():
     took, faults = child.stdout.split()
     if took != "True":
         pytest.skip("the C library has no mallopt")
-    # each denoiser branch frees about 10 MB: trimmed, they fault back in at the next
+    # each denoiser branch frees up to 8 MB: trimmed, they fault back in at the next
     assert int(faults) < 10_000
 
 

@@ -17,14 +17,17 @@ whose bytes differ it prints one line per differing part:
 
 The relative difference of two values is ``|a - b| / max(|a|, |b|)``.
 Files present on one side only are named.  The exit code is 0 when every
-file is byte-identical, 1 when any differs and 2 on a usage error.  Needs
-numpy and this checkout's ``src/``.
+file is byte-identical, 1 when any differs and 2 on a usage error.  A reader
+that closes the pipe early (``| head``) ends the run quietly with exit code
+1, since only a difference is printed.  Needs numpy and this checkout's
+``src/``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -127,4 +130,11 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # send the interpreter's last flush of stdout nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
