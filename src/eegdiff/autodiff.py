@@ -44,10 +44,10 @@ Design notes:
 Primitives: elementwise ``add``/``sub``/``mul``/``div``/``power``/``exp``/
 ``log``/``abs_``/``minimum``/``relu``/``sigmoid``; ``matmul``; ``linear``,
 the affine map behind ``nn.Linear``; ``conv3x3``, the same-padding 3x3
-convolution behind ``diffusion.Conv3x3``, whose graph keeps its input but
-never its patch matrix, and ``upsample_conv3x3``, the same convolution of
-the nearest-neighbour 2x upsampled input computed at the input's
-resolution, behind the denoiser's ``up`` layer; reductions and normalizers
+convolution behind ``diffusion.Conv3x3``, which with ``upsample`` convolves
+the nearest-neighbour 2x upsampled input at the input's resolution (the
+denoiser's ``up`` layer) and whose graph keeps its input and weight but
+never a patch matrix or folded kernel; reductions and normalizers
 ``sum_``/``mean``/``softmax``/``cosine_similarity`` and ``standardize``,
 behind ``nn.LayerNorm`` and ``nn.BatchNorm``; and structural ``reshape``/
 ``transpose``/``concat``.  ``pad_last2``/``crop_last2`` no longer serve
@@ -540,13 +540,24 @@ _IM2COL_SPANS = (
     (slice(None, -1), slice(1, None)),
 )
 
-# The forward GEMM of conv3x3 runs over blocks of whole images, each of at
-# least this many patch rows, so guided sampling at batch 64 copies at most
-# 4.7 MB of patches at a time instead of 18.9 MB.  Measured with OpenBLAS
-# 0.3.31 (one thread) on (4096 or 8192, K) @ (K, N) at the six (K, N) of the
-# default denoiser: row blocks of 1024 and 2048 rows rounded like the
-# unblocked product in every case, while blocks of 64 to 896 rows rounded
-# differently for (K, N) = (288, 4), the output conv.
+# Per-axis phase-tap tables of conv3x3, keyed by ``upsample``: output row
+# s*i + p (p the phase of s) reads input rows i + p + t - 1 for the k taps t
+# of its kernel, and the 3x3 tap d folds into tap [p][d].  The plain conv is
+# one phase whose taps fold into themselves; a row 2i + p of the 2x upsampled
+# map reads coarse rows i + p - 1 and i + p (phase 0: taps 0 | 1+2, phase 1:
+# 0+1 | 2).
+_PHASE_TAPS = {False: ((0, 1, 2),), True: ((0, 1, 1), (0, 0, 1))}
+
+# The forward GEMMs of conv3x3 run over blocks of whole images, one GEMM per
+# phase and block, each of at least this many patch rows, so guided
+# sampling at batch 64 copies at most 4.7 MB of patches at a time instead
+# of 18.9 MB.  Measured with OpenBLAS 0.3.31 (one thread) on (4096 or 8192, K) @ (K, N)
+# at the six (K, N) of the default denoiser's plain convs: row blocks of
+# 1024 and 2048 rows rounded like the unblocked product in every case, while
+# blocks of 64 to 896 rows rounded differently for (K, N) = (288, 4), the
+# output conv.  The upsampling phases count rows of the coarse map: at the
+# default 4x4 one a block holds 64 images, so the default training and
+# sampling batches (16 and 64) run each phase as one GEMM.
 CONV_BLOCK_ROWS = 1024
 
 
@@ -559,43 +570,71 @@ def _pad_channel_last(x: np.ndarray) -> np.ndarray:
     return padded
 
 
-def _patches(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """The (n*H*W, 9*C) patch matrix of images ``lo:hi`` of a (B, C, H, W)
-    array, for a same-padding 3x3 convolution (Chellapilla et al. 2006).
+def _patches(padded: np.ndarray, k: int, p: int, q: int, column_major: bool) -> np.ndarray:
+    """The (n*H*W, k*k*C) patch matrix at phase corner (p, q) of a
+    :func:`_pad_channel_last` (n, H+2, W+2, C) array (Chellapilla et al.
+    2006).
 
-    Row ``(b, i, j)`` holds ``x[b, c, i+dy-1, j+dx-1]`` at column
-    ``(dy*3 + dx)*C + c``, zero outside the image: one copy out of a strided
-    window view of a channel-last padded buffer.
+    Row ``(b, i, j)`` holds ``x[b, c, i+p+ty-1, j+q+tx-1]`` at column
+    ``(ty*k + tx)*C + c``, zero outside the image: one copy out of a strided
+    k x k window view of the padded rows and columns that the phase reads.
     """
-    n, (_, c, h, w) = hi - lo, x.shape
-    windows = np.lib.stride_tricks.sliding_window_view(_pad_channel_last(x[lo:hi]), (3, 3), axis=(1, 2))
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, 9 * c)
-    if x.shape[0] == 1:
+    n, h, w, c = padded.shape[0], padded.shape[1] - 2, padded.shape[2] - 2, padded.shape[3]
+    windows = np.lib.stride_tricks.sliding_window_view(padded[:, p : p + h + k - 1, q : q + w + k - 1], (k, k), axis=(1, 2))
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, k * k * c)
+    if column_major:
         # Conv3x3 outputs at batch 1 have always come from a column-major
         # patch matrix; BLAS rounds each layout differently, so keep it.
         cols = np.asfortranarray(cols)
     return cols
 
 
-def conv3x3(x, w, b) -> Tensor:
-    """Same-padding 3x3 convolution of a (B, C, H, W) tensor as one node.
+def _phase_kernel(w: np.ndarray, taps_y: tuple, taps_x: tuple) -> np.ndarray:
+    """The (k*k*C, N) kernel of the phase with per-axis taps ``taps_y`` and
+    ``taps_x``: the 3x3 taps of the (9*C, N) weight ``w`` summed into k x k
+    in ascending (dy, dx) order.  The plain conv's taps fold into
+    themselves, so its kernel is ``w``."""
+    k = taps_y[-1] + 1
+    if k == 3:
+        return w
+    w3 = w.reshape(3, 3, -1, w.shape[1])
+    folded = np.zeros((k, k) + w3.shape[2:])
+    for dy, ty in enumerate(taps_y):
+        for dx, tx in enumerate(taps_x):
+            folded[ty, tx] += w3[dy, dx]
+    return folded.reshape(-1, w.shape[1])
+
+
+def conv3x3(x, w, b, upsample: bool = False) -> Tensor:
+    """Same-padding 3x3 convolution of a (B, C, H, W) tensor as one node;
+    with ``upsample``, the same convolution of its nearest-neighbour 2x
+    upsampling, computed at the input's resolution (sub-pixel convolution,
+    Shi et al. 2016).
 
     ``w`` is (9*C, N) with rows ordered (dy, dx, c) and ``b`` is (N,).  The
-    forward pass multiplies the patch matrix (see :func:`_patches`) by ``w``
-    block by block (:data:`CONV_BLOCK_ROWS`) into one channel-last
-    (B, H, W, N) buffer, adds the bias in place and returns its (B, N, H, W)
-    view.  The VJPs keep ``x``, never the patches:
+    output is s x s phases (s = 2 with ``upsample``, else 1), the pixels
+    (s*i + p, s*j + q); phase (p, q) is a k x k convolution of ``x`` whose
+    taps are sums of the 3x3 taps (:data:`_PHASE_TAPS`): k = 3 and the taps
+    themselves for the plain conv, k = 2 for the upsampling one.  The
+    forward pass pads each block of images (:data:`CONV_BLOCK_ROWS`) once
+    and, per phase, multiplies its patch matrix (see :func:`_patches`) by
+    the folded kernel and adds the bias into one channel-last
+    (B, H, s, W, s, N) buffer, returned as its (B, N, s*H, s*W) view.  The VJPs keep ``x`` and ``w``, never the patches
+    or the folded kernels:
 
-    * ``x``: ``g @ w.T``, then the in-image part of each of the nine shifted
-      gradient slabs added in ascending ``(dy, dx)`` order into one zeroed
-      channel-last buffer, returned as its (B, C, H, W) view, which the
-      engine adopts without a copy when ``x`` is itself channel-last;
-    * ``w``: the patch matrix, rebuilt from ``x`` in one piece, transposed
-      times ``g`` (recompute instead of store, Chen et al. 2016);
-    * ``b``: ``g`` as (B*H*W, N) rows, which the engine sums.
+    * ``x``: each phase's ``g @ kernel.T``, its taps added at their offsets
+      in ascending order into one zeroed channel-last buffer, returned as
+      its (B, C, H, W) view, which the engine adopts without a copy when
+      ``x`` is itself channel-last;
+    * ``w``: each phase's patch matrix, rebuilt from ``x`` in one piece,
+      transposed times ``g`` (recompute instead of store, Chen et al. 2016),
+      every phase tap's gradient added back to the 3x3 taps it sums;
+    * ``b``: ``g`` as (B*s*s*H*W, N) rows, which the engine sums.
 
-    Values and gradients equal those of the patch unfold, ``linear``,
-    ``reshape`` and ``transpose`` it replaces.
+    The plain conv's values and gradients equal those of the patch unfold,
+    ``linear``, ``reshape`` and ``transpose`` it replaces; the upsampling
+    conv's differ from the plain conv of the upsampled input only by the
+    rounding of the folded taps.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.ndim != 4:
@@ -605,117 +644,39 @@ def conv3x3(x, w, b) -> Tensor:
         raise ShapeError(f"conv3x3 weight {w.shape} does not match {c} input channels")
     if b.shape != w.shape[1:]:
         raise ShapeError(f"conv3x3 bias {b.shape} does not match the weight {w.shape}")
+    taps = _PHASE_TAPS[upsample]
+    s, k = len(taps), taps[0][-1] + 1
+    phases = [(p, q) for p in range(s) for q in range(s)]
     c_out, hw = w.shape[1], h * wd
-    out = np.empty((n, h, wd, c_out))
-    rows = out.reshape(n * hw, c_out)
+    out = np.empty((n, h, s, wd, s, c_out))
     # Whole images of at least CONV_BLOCK_ROWS rows; a short tail joins the
     # block before it.
     per = -(-CONV_BLOCK_ROWS // hw)
     bounds = [i * per for i in range(max(1, n // per))] + [n]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        np.matmul(_patches(x.data, lo, hi), w.data, out=rows[lo * hw : hi * hw])
-    np.add(rows, b.data, out=rows)
-
-    def g_rows(g):
-        return g.transpose(0, 2, 3, 1).reshape(n * hw, c_out)
-
-    def x_vjp(g):
-        g_cols = np.matmul(g_rows(g), w.data.T).reshape(n, h, wd, 3, 3, c)
-        acc = np.zeros((n, h, wd, c))
-        for dy, (src_y, dst_y) in enumerate(_IM2COL_SPANS):
-            for dx, (src_x, dst_x) in enumerate(_IM2COL_SPANS):
-                acc[:, dst_y, dst_x, :] += g_cols[:, src_y, src_x, dy, dx, :]
-        return acc.transpose(0, 3, 1, 2)
-
-    return _make(
-        out.transpose(0, 3, 1, 2),
-        (x, w, b),
-        (x_vjp, lambda g: np.matmul(_patches(x.data, 0, n).T, g_rows(g)), g_rows),
-        "conv3x3",
-    )
-
-
-# Output row 2i + p (p the phase) of a 2x upsampled map reads coarse rows
-# i + p - 1 and i + p: the 3x3 tap d of phase p folds into its 2-tap kernel
-# at index _PHASE_TAPS[p][d] (phase 0: taps 0 | 1+2, phase 1: 0+1 | 2).
-_PHASE_TAPS = ((0, 1, 1), (0, 0, 1))
-_PHASES = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _fold_taps(w3: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Phase (p, q)'s (2, 2, C, N) kernel from the (3, 3, C, N) taps."""
-    folded = np.zeros((2, 2) + w3.shape[2:])
-    for dy, ty in enumerate(_PHASE_TAPS[p]):
-        for dx, tx in enumerate(_PHASE_TAPS[q]):
-            folded[ty, tx] += w3[dy, dx]
-    return folded
-
-
-def _phase_patches(padded: np.ndarray, p: int, q: int) -> np.ndarray:
-    """The (n*H*W, 4*C) patch matrix of phase (p, q) of a zero-bordered
-    channel-last (n, H+2, W+2, C) coarse map: row ``(b, i, j)`` holds the
-    2x2 window whose corner is padded pixel ``(i + p, j + q)``, columns
-    ordered (ty, tx, c)."""
-    n, h, w, c = padded.shape[0], padded.shape[1] - 2, padded.shape[2] - 2, padded.shape[3]
-    windows = np.lib.stride_tricks.sliding_window_view(padded[:, p : p + h + 1, q : q + w + 1], (2, 2), axis=(1, 2))
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, 4 * c)
-
-
-def upsample_conv3x3(x, w, b) -> Tensor:
-    """``conv3x3(upsample2(x), w, b)`` of a (B, C, H, W) tensor, where
-    ``upsample2`` is nearest-neighbour 2x upsampling, as one node at the
-    coarse resolution (sub-pixel convolution, Shi et al. 2016).
-
-    ``w`` (9*C, N) and ``b`` (N,) are ``conv3x3``'s.  Each output phase
-    (p, q), the pixels (2i + p, 2j + q), is a 2x2 convolution of ``x``
-    whose taps are sums of the 3x3 taps (:data:`_PHASE_TAPS`): four GEMMs
-    with K = 4C over B*H*W rows, where the upsampled convolution has one
-    with K = 9C over 4*B*H*W.  The phases are written into one channel-last
-    (B, 2H, 2W, N) buffer, returned as its (B, N, 2H, 2W) view.  The VJPs
-    keep ``x``, never the phase patches:
-
-    * ``x``: each phase's ``g @ w_pq.T``, its four taps added at their
-      coarse offsets into one zeroed channel-last buffer, returned as its
-      (B, C, H, W) view;
-    * ``w``: each phase's patches, rebuilt from ``x``, transposed times
-      ``g``, every phase tap's gradient added back to the 3x3 taps it sums;
-    * ``b``: ``g`` as (B*4*H*W, N) rows, which the engine sums.
-
-    Values and gradients differ from the upsampled ``conv3x3``'s only by
-    the rounding of the folded taps.
-    """
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.ndim != 4:
-        raise ShapeError(f"upsample_conv3x3 requires x of (batch, channels, H, W), got {x.shape}")
-    n, c, h, wd = x.shape
-    if w.ndim != 2 or w.shape[0] != 9 * c:
-        raise ShapeError(f"upsample_conv3x3 weight {w.shape} does not match {c} input channels")
-    if b.shape != w.shape[1:]:
-        raise ShapeError(f"upsample_conv3x3 bias {b.shape} does not match the weight {w.shape}")
-    c_out, rows = w.shape[1], n * h * wd
-    w3 = w.data.reshape(3, 3, c, c_out)
-    padded = _pad_channel_last(x.data)
-    out = np.empty((n, h, 2, wd, 2, c_out))
     # a tap sum or a product may overflow: the output probe names the op
     with np.errstate(over="ignore", invalid="ignore"):
-        kernels = [_fold_taps(w3, p, q).reshape(4 * c, c_out) for p, q in _PHASES]
-        for (p, q), kernel in zip(_PHASES, kernels):
-            phase = np.matmul(_phase_patches(padded, p, q), kernel).reshape(n, h, wd, c_out)
-            np.add(phase, b.data, out=out[:, :, p, :, q])
+        kernels = [_phase_kernel(w.data, taps[p], taps[q]) for p, q in phases]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            padded = _pad_channel_last(x.data[lo:hi])
+            for (p, q), kernel in zip(phases, kernels):
+                block = out[lo:hi, :, p, :, q]
+                # the one phase of a plain conv is contiguous: its GEMM writes it in place
+                rows = np.matmul(_patches(padded, k, p, q, n == 1), kernel, out=block.reshape(-1, c_out) if s == 1 else None)
+                np.add(rows.reshape(block.shape), b.data, out=block)
 
     def g_phases(g):
-        """The (B*H*W, N) output-gradient rows of each phase."""
-        g6 = g.transpose(0, 2, 3, 1).reshape(n, h, 2, wd, 2, c_out)
-        return [g6[:, :, p, :, q].reshape(rows, c_out) for p, q in _PHASES]
+        """Each phase's (B*H*W, N) output-gradient rows, one at a time."""
+        g6 = g.transpose(0, 2, 3, 1).reshape(n, h, s, wd, s, c_out)
+        return (g6[:, :, p, :, q].reshape(n * hw, c_out) for p, q in phases)
 
     def x_vjp(g):
         acc = np.zeros((n, h, wd, c))
-        for (p, q), kernel, g_pq in zip(_PHASES, kernels, g_phases(g)):
-            g_cols = np.matmul(g_pq, kernel.T).reshape(n, h, wd, 2, 2, c)
+        for (p, q), g_pq in zip(phases, g_phases(g)):
+            g_cols = np.matmul(g_pq, _phase_kernel(w.data, taps[p], taps[q]).T).reshape(n, h, wd, k, k, c)
             # tap (ty, tx) of phase (p, q) reads x at offset (p + ty - 1, q + tx - 1)
-            for ty in range(2):
+            for ty in range(k):
                 src_y, dst_y = _IM2COL_SPANS[p + ty]
-                for tx in range(2):
+                for tx in range(k):
                     src_x, dst_x = _IM2COL_SPANS[q + tx]
                     acc[:, dst_y, dst_x, :] += g_cols[:, src_y, src_x, ty, tx, :]
         return acc.transpose(0, 3, 1, 2)
@@ -723,16 +684,16 @@ def upsample_conv3x3(x, w, b) -> Tensor:
     def w_vjp(g):
         padded = _pad_channel_last(x.data)
         grad = np.zeros((3, 3, c, c_out))
-        for (p, q), g_pq in zip(_PHASES, g_phases(g)):
-            g_taps = np.matmul(_phase_patches(padded, p, q).T, g_pq).reshape(2, 2, c, c_out)
-            grad += g_taps[_PHASE_TAPS[p], :][:, _PHASE_TAPS[q]]
+        for (p, q), g_pq in zip(phases, g_phases(g)):
+            g_taps = np.matmul(_patches(padded, k, p, q, n == 1).T, g_pq).reshape(k, k, c, c_out)
+            grad += g_taps[taps[p], :][:, taps[q]]
         return grad.reshape(9 * c, c_out)
 
     return _make(
-        out.reshape(n, 2 * h, 2 * wd, c_out).transpose(0, 3, 1, 2),
+        out.reshape(n, s * h, s * wd, c_out).transpose(0, 3, 1, 2),
         (x, w, b),
-        (x_vjp, w_vjp, lambda g: g.transpose(0, 2, 3, 1).reshape(4 * rows, c_out)),
-        "upsample_conv3x3",
+        (x_vjp, w_vjp, lambda g: g.transpose(0, 2, 3, 1).reshape(n * s * s * hw, c_out)),
+        "conv3x3",
     )
 
 

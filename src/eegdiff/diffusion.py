@@ -128,23 +128,22 @@ def timestep_embedding(t, dim: int) -> np.ndarray:
 
 
 class Conv3x3(Module):
-    """3x3 same-padding convolution: one ``ad.conv3x3`` node, or with
-    ``upsample`` one ``ad.upsample_conv3x3`` node, which convolves the
-    nearest-neighbour 2x upsampling of its input.
+    """3x3 same-padding convolution as one ``ad.conv3x3`` node, which with
+    ``upsample`` convolves the nearest-neighbour 2x upsampling of its input.
 
     ``w`` is (9*c_in, c_out) with rows ordered (dy, dx, c), the column order
-    of the op's patch matrix; ``b`` is (c_out,).  Both ops take the same
-    weights, so the records do not depend on ``upsample``.
+    of the op's plain patch matrix; ``b`` is (c_out,).  ``upsample`` changes
+    neither, so the records do not depend on it.
     """
 
     def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, upsample: bool = False):
         self.c_in, self.c_out = c_in, c_out
         self.w = Tensor(glorot_uniform(rng, 9 * c_in, c_out, (9 * c_in, c_out)), requires_grad=True)
         self.b = Tensor(np.zeros(c_out), requires_grad=True)
-        self.op = ad.upsample_conv3x3 if upsample else ad.conv3x3
+        self.upsample = upsample
 
     def __call__(self, x: Tensor) -> Tensor:
-        return self.op(x, self.w, self.b)
+        return ad.conv3x3(x, self.w, self.b, self.upsample)
 
 
 def avg_pool2(x: Tensor) -> Tensor:

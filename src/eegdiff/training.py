@@ -730,7 +730,9 @@ def primitive_cases(rng: np.random.Generator) -> dict:
     # reshape as the weight and its channel mean as the bias
     w_up = Tensor(rng.normal(size=(2, 2, 6, 6)))
     cases["upsample-conv3x3"] = (
-        lambda x: ad.sum_(ad.mul(ad.upsample_conv3x3(x, ad.reshape(x, (18, 2)), ad.mean(x, axis=(0, 2, 3))), w_up)),
+        lambda x: ad.sum_(
+            ad.mul(ad.conv3x3(x, ad.reshape(x, (18, 2)), ad.mean(x, axis=(0, 2, 3)), upsample=True), w_up)
+        ),
         rng.normal(size=(2, 2, 3, 3)),
     )
     return cases

@@ -97,7 +97,7 @@ MULTI_PARENT = {
     "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
     "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
     "conv3x3": (ad.conv3x3, [(2, 3, 4, 5), (27, 2), (2,)]),
-    "upsample_conv3x3": (ad.upsample_conv3x3, [(2, 3, 2, 3), (27, 2), (2,)]),
+    "upsample_conv3x3": (functools.partial(ad.conv3x3, upsample=True), [(2, 3, 2, 3), (27, 2), (2,)]),
     "minimum": (ad.minimum, [(3, 4), (1, 4)]),
     "cosine_similarity": (ad.cosine_similarity, [(3, 1, 5), (1, 4, 5)]),
     "concat": (lambda *parts: ad.concat(parts, axis=1), [(2, 1, 3), (2, 2, 3), (2, 3, 3)]),
@@ -505,15 +505,22 @@ def test_stage2_graph_holds_no_patch_matrix():
         )
     }
     # up's phase patches, at the resolution of its input
-    patch_shapes.add((b * (h // 2) * (w // 2), 4 * model.denoiser.up.c_in))
+    up = model.denoiser.up
+    patch_shapes.add((b * (h // 2) * (w // 2), 4 * up.c_in))
     arrays = _retained_arrays(loss)
     assert len(arrays) > 100  # the walk reached the denoiser
     assert not [a.shape for a in arrays if a.shape in patch_shapes or a.shape[::-1] in patch_shapes]
+    # nor up's folded phase kernels, nor any array shaped like a conv weight
+    # but the weight itself: the VJPs fold the kernels again from w
+    convs = [getattr(model.denoiser, name) for name in ("conv_in", "enc1", "down", "mid", "up", "dec1", "conv_out")]
+    kernel_shapes = {(4 * up.c_in, up.c_out)} | {conv.w.shape for conv in convs}
+    kernels = [a for a in arrays if a.shape in kernel_shapes or a.shape[::-1] in kernel_shapes]
+    assert not [a.shape for a in kernels if not any(a is conv.w.data for conv in convs)]
 
 
 def reference_upsample2(x):
     """The nearest-neighbour 2x upsampling op that ran before
-    ``ad.upsample_conv3x3``: a broadcast copy into a channel-last buffer,
+    ``ad.conv3x3`` took ``upsample``: a broadcast copy into a channel-last buffer,
     returned as its (B, C, 2H, 2W) view, whose VJP sums each 2x2 block."""
     b, c, h, w = x.shape
     tiled = np.empty((b, h, 2, w, 2, c))
@@ -529,8 +536,9 @@ def reference_upsample2(x):
 
 
 # batch 1 is a single image, 16 the training batch and 64 the sampler batch,
-# at the shape of the denoiser's up conv (64 channels at 4x4 -> 32 at 8x8)
-@pytest.mark.parametrize("batch", [1, 16, 64])
+# at the shape of the denoiser's up conv (64 channels at 4x4 -> 32 at 8x8);
+# at 128 the 4x4 map first spans two CONV_BLOCK_ROWS blocks
+@pytest.mark.parametrize("batch", [1, 16, 64, 128])
 def test_upsample_conv3x3_matches_composite(batch):
     rng = np.random.default_rng(np.random.SeedSequence([27, batch]))
     c_in, c_out, h, w = 64, 32, 4, 4
@@ -539,13 +547,13 @@ def test_upsample_conv3x3_matches_composite(batch):
     values = [x_data, rng.normal(size=(9 * c_in, c_out)), rng.normal(size=c_out)]
     weight = rng.normal(size=(batch, c_out, 2 * h, 2 * w))
     runs = []
-    for fn in (ad.upsample_conv3x3, lambda x, w, b: ad.conv3x3(reference_upsample2(x), w, b)):
+    for fn in (functools.partial(ad.conv3x3, upsample=True), lambda x, w, b: ad.conv3x3(reference_upsample2(x), w, b)):
         inputs = [Tensor(v, requires_grad=True) for v in values]
         y = fn(*inputs)
         ad.sum_(ad.mul(y, weight)).backward()
         runs.append([y] + [t.grad for t in inputs])
     y, new_grads = runs[0][0], runs[0][1:]
-    assert y._op == "upsample_conv3x3" and y._parents[0].data is x_data
+    assert y._op == "conv3x3" and y._parents[0].data is x_data
     assert y.data.strides == runs[1][0].data.strides  # channel-last, as conv3x3's
     # the input gradient comes back laid out like the input, so it is adopted
     assert new_grads[0].strides == x_data.strides
@@ -555,10 +563,11 @@ def test_upsample_conv3x3_matches_composite(batch):
         np.testing.assert_allclose(new, old, rtol=0.0, atol=1e-12 * np.abs(old).max())
 
 
-def test_upsample_conv3x3_overflow_names_the_op():
+@pytest.mark.parametrize("upsample", [False, True], ids=["plain", "upsample"])
+def test_conv3x3_overflow_names_the_op(upsample):
     x = Tensor(np.ones((1, 2, 2, 2)))
-    with pytest.raises(NonFiniteError, match="upsample_conv3x3"):
-        ad.upsample_conv3x3(x, Tensor(np.full((18, 3), 1e308)), Tensor(np.zeros(3)))
+    with pytest.raises(NonFiniteError, match="conv3x3"):
+        ad.conv3x3(x, Tensor(np.full((18, 3), 1e308)), Tensor(np.zeros(3)), upsample)
 
 
 def test_nonfinite_probe_raises():
@@ -706,31 +715,32 @@ def test_pad_crop_guards():
         ad.crop_last2(Tensor(np.ones(3)), 0, 0, 1, 1)
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 2, 3, 4, 5)])
-def test_conv3x3_requires_4d(shape):
+# Each case once per conv: the plain conv's under pytest's own ids (shape0,
+# w0-b0), the upsampling conv's with an "upsample-" prefix.
+NOT_4D = [(3, 4, 5), (1, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize(
+    "shape,upsample",
+    [pytest.param(shape, up, id=f"{'upsample-' if up else ''}shape{i}") for up in (False, True)
+     for i, shape in enumerate(NOT_4D)],
+)
+def test_conv3x3_requires_4d(shape, upsample):
     with pytest.raises(ShapeError):
-        ad.conv3x3(Tensor(np.ones(shape)), Tensor(np.ones((9 * shape[1], 2))), Tensor(np.ones(2)))
+        ad.conv3x3(Tensor(np.ones(shape)), Tensor(np.ones((9 * shape[1], 2))), Tensor(np.ones(2)), upsample)
 
 
 CONV_WEIGHT_MISMATCHES = [((27, 2), (3,)), ((18, 2), (2,)), ((27, 2, 1), (2, 1)), ((27, 2), (1, 2))]
 
 
-@pytest.mark.parametrize("w,b", CONV_WEIGHT_MISMATCHES)
-def test_conv3x3_shape_errors(w, b):
+@pytest.mark.parametrize(
+    "w,b,upsample",
+    [pytest.param(w, b, up, id=f"{'upsample-' if up else ''}w{i}-b{i}") for up in (False, True)
+     for i, (w, b) in enumerate(CONV_WEIGHT_MISMATCHES)],
+)
+def test_conv3x3_shape_errors(w, b, upsample):
     with pytest.raises(ShapeError):
-        ad.conv3x3(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(w)), Tensor(np.ones(b)))
-
-
-@pytest.mark.parametrize("shape", [(3, 4, 5), (1, 2, 3, 4, 5)])
-def test_upsample_conv3x3_requires_4d(shape):
-    with pytest.raises(ShapeError):
-        ad.upsample_conv3x3(Tensor(np.ones(shape)), Tensor(np.ones((9 * shape[1], 2))), Tensor(np.ones(2)))
-
-
-@pytest.mark.parametrize("w,b", CONV_WEIGHT_MISMATCHES)
-def test_upsample_conv3x3_shape_errors(w, b):
-    with pytest.raises(ShapeError):
-        ad.upsample_conv3x3(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(w)), Tensor(np.ones(b)))
+        ad.conv3x3(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(w)), Tensor(np.ones(b)), upsample)
 
 
 def test_gradient_audit_covers_every_op(monkeypatch):

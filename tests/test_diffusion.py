@@ -159,7 +159,7 @@ def test_upsample_conv3x3_matches_loop_conv_of_repeated_input(shape, c_out, chan
     if channel_last:
         x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
     y = conv(Tensor(x))
-    assert y._op == "upsample_conv3x3"
+    assert y._op == "conv3x3"
     fine = np.repeat(np.repeat(x, 2, axis=2), 2, axis=3)
     np.testing.assert_allclose(y.data, loop_conv(conv, fine), rtol=1e-12, atol=1e-12)
 
