@@ -68,8 +68,9 @@ def write_file(path, fill):
 
 
 def format_float(x: float) -> str:
-    """Shortest round-trip decimal text for metrics and file names."""
-    return repr(float(x))
+    """Shortest round-trip decimal text for metrics and file names; -0.0
+    reads ``0.0``, so a scale of -0 names the samples of scale 0."""
+    return repr(float(x) + 0.0)
 
 
 def write_csv(path, header: list[str], rows: list[list]) -> Path:

@@ -672,77 +672,77 @@ def _offset_from_zero(x: np.ndarray, margin: float = 0.2) -> np.ndarray:
     return x + margin * np.where(x >= 0, 1.0, -1.0)
 
 
+def _weighted(fn, rng: np.random.Generator, point: np.ndarray) -> tuple:
+    """``fn`` made scalar, with its point: ``(x -> sum(fn(x) * w), point)``.
+    ``fn`` runs once on ``point`` without a graph, and the fixed weights
+    ``w`` take that output's shape, drawn from ``rng`` right after the point."""
+    with ad.no_grad():
+        shape = fn(Tensor(point)).shape
+    w = Tensor(rng.normal(size=shape))
+    return (lambda x: ad.sum_(ad.mul(fn(x), w))), point
+
+
 def primitive_cases(rng: np.random.Generator) -> dict:
-    """The audited primitive targets: kind -> (scalar map of one leaf, point)."""
+    """The audited primitive targets: kind -> (scalar map of one leaf, point).
+
+    Every case is one :func:`_weighted` line: it draws its point and then its
+    output weights before the next case draws anything, so a case appended
+    at the end leaves the draws of every case before it alone.  ``const``
+    and matmul's right operand are op inputs, drawn first.  The conv3x3 and
+    linear leaves are also the op's weight (a reshape or a batch mean) and
+    bias (a channel or token mean), so every VJP of those ops is audited."""
     const = Tensor(_offset_from_zero(rng.normal(size=(3, 4))))
-    w = Tensor(rng.normal(size=(3, 4)))
-    w2 = Tensor(rng.normal(size=(4, 2)))
-    w32 = Tensor(rng.normal(size=(3, 2)))
-    w31 = Tensor(rng.normal(size=(3, 1)))
-    w14 = Tensor(rng.normal(size=(1, 4)))
-    w64 = Tensor(rng.normal(size=(6, 4)))
-    w43 = Tensor(rng.normal(size=(4, 3)))
-    w3 = Tensor(rng.normal(size=3))
-    w56 = Tensor(rng.normal(size=(5, 6)))
-    w22 = Tensor(rng.normal(size=(2, 2)))
-    cases = {
-        "matmul": (lambda x: ad.sum_(ad.mul(ad.matmul(x, w2), w32)), rng.normal(size=(3, 4))),
-        "add": (lambda x: ad.sum_(ad.mul(ad.add(x, const), w)), rng.normal(size=(3, 4))),
-        "sub": (lambda x: ad.sum_(ad.mul(ad.sub(x, const), w)), rng.normal(size=(3, 4))),
-        "mul": (lambda x: ad.sum_(ad.mul(ad.mul(x, const), w)), rng.normal(size=(3, 4))),
-        "div": (lambda x: ad.sum_(ad.mul(ad.div(x, ad.add(ad.abs_(const), 0.5)), w)), rng.normal(size=(3, 4))),
-        "scalar-mul": (lambda x: ad.sum_(ad.mul(ad.mul(x, 1.7), w)), rng.normal(size=(3, 4))),
-        "abs": (lambda x: ad.sum_(ad.mul(ad.abs_(x), w)), _offset_from_zero(rng.normal(size=(3, 4)))),
-        "elementwise-min": (lambda x: ad.sum_(ad.mul(ad.minimum(x, const), w)), _offset_from_zero(rng.normal(size=(3, 4))) + 0.05),
-        "sigmoid": (lambda x: ad.sum_(ad.mul(ad.sigmoid(x), w)), rng.normal(size=(3, 4))),
-        "relu": (lambda x: ad.sum_(ad.mul(ad.relu(x), w)), _offset_from_zero(rng.normal(size=(3, 4)))),
-        "softmax": (lambda x: ad.sum_(ad.mul(ad.softmax(x, axis=-1), w)), rng.normal(size=(3, 4))),
-        "layer-normalize": (lambda x: ad.sum_(ad.mul(ad.standardize(x, -1, LAYER_NORM_EPS), w)), rng.normal(size=(3, 4))),
-        "batch-normalize": (lambda x: ad.sum_(ad.mul(ad.standardize(x, 0, BATCH_NORM_EPS), w)), rng.normal(size=(3, 4))),
-        "mean": (lambda x: ad.sum_(ad.mul(ad.mean(x, axis=1, keepdims=True), w31)), rng.normal(size=(3, 4))),
-        "sum": (lambda x: ad.sum_(ad.mul(ad.sum_(x, axis=0, keepdims=True), w14)), rng.normal(size=(3, 4))),
-        "concat": (lambda x: ad.sum_(ad.mul(ad.concat([x, ad.mul(x, 2.0)], axis=0), w64)), rng.normal(size=(3, 4))),
-        "reshape": (lambda x: ad.sum_(ad.mul(ad.reshape(x, (4, 3)), w43)), rng.normal(size=(3, 4))),
-        "transpose": (lambda x: ad.sum_(ad.mul(ad.transpose(x, (1, 0)), w43)), rng.normal(size=(3, 4))),
-        "exp": (lambda x: ad.sum_(ad.mul(ad.exp(x), w)), rng.normal(size=(3, 4))),
-        "log": (lambda x: ad.sum_(ad.mul(ad.log(x), w)), np.abs(rng.normal(size=(3, 4))) + 0.5),
-        "power": (lambda x: ad.sum_(ad.mul(ad.power(x, 2.5), w)), np.abs(rng.normal(size=(3, 4))) + 0.5),
-        "cosine-similarity": (lambda x: ad.sum_(ad.mul(ad.cosine_similarity(x, const), w3)), rng.normal(size=(3, 4))),
-        "pad-last2": (lambda x: ad.sum_(ad.mul(ad.pad_last2(x, 1), w56)), rng.normal(size=(3, 4))),
-        "crop-last2": (lambda x: ad.sum_(ad.mul(ad.crop_last2(x, 1, 1, 2, 2), w22)), rng.normal(size=(3, 4))),
+    right = Tensor(rng.normal(size=(4, 2)))
+
+    def normal(shape=(3, 4)):
+        return rng.normal(size=shape)
+
+    def conv(x, upsample=False):
+        return ad.conv3x3(x, ad.reshape(x, (18, 2)), ad.mean(x, axis=(0, 2, 3)), upsample)
+
+    return {
+        "matmul": _weighted(lambda x: ad.matmul(x, right), rng, normal()),
+        "add": _weighted(lambda x: ad.add(x, const), rng, normal()),
+        "sub": _weighted(lambda x: ad.sub(x, const), rng, normal()),
+        "mul": _weighted(lambda x: ad.mul(x, const), rng, normal()),
+        "div": _weighted(lambda x: ad.div(x, ad.add(ad.abs_(const), 0.5)), rng, normal()),
+        "scalar-mul": _weighted(lambda x: ad.mul(x, 1.7), rng, normal()),
+        "abs": _weighted(ad.abs_, rng, _offset_from_zero(normal())),
+        "elementwise-min": _weighted(lambda x: ad.minimum(x, const), rng, _offset_from_zero(normal()) + 0.05),
+        "sigmoid": _weighted(ad.sigmoid, rng, normal()),
+        "relu": _weighted(ad.relu, rng, _offset_from_zero(normal())),
+        "softmax": _weighted(lambda x: ad.softmax(x, axis=-1), rng, normal()),
+        "layer-normalize": _weighted(lambda x: ad.standardize(x, -1, LAYER_NORM_EPS), rng, normal()),
+        "batch-normalize": _weighted(lambda x: ad.standardize(x, 0, BATCH_NORM_EPS), rng, normal()),
+        "mean": _weighted(lambda x: ad.mean(x, axis=1, keepdims=True), rng, normal()),
+        "sum": _weighted(lambda x: ad.sum_(x, axis=0, keepdims=True), rng, normal()),
+        "concat": _weighted(lambda x: ad.concat([x, ad.mul(x, 2.0)], axis=0), rng, normal()),
+        "reshape": _weighted(lambda x: ad.reshape(x, (4, 3)), rng, normal()),
+        "transpose": _weighted(lambda x: ad.transpose(x, (1, 0)), rng, normal()),
+        "exp": _weighted(ad.exp, rng, normal()),
+        "log": _weighted(ad.log, rng, np.abs(normal()) + 0.5),
+        "power": _weighted(lambda x: ad.power(x, 2.5), rng, np.abs(normal()) + 0.5),
+        "cosine-similarity": _weighted(lambda x: ad.cosine_similarity(x, const), rng, normal()),
+        "pad-last2": _weighted(lambda x: ad.pad_last2(x, 1), rng, normal()),
+        "crop-last2": _weighted(lambda x: ad.crop_last2(x, 1, 1, 2, 2), rng, normal()),
+        "conv3x3": _weighted(conv, rng, normal((2, 2, 3, 3))),
+        "linear": _weighted(lambda x: ad.linear(x, ad.mean(x, axis=0), ad.mean(x, axis=(0, 1))), rng, normal((2, 4, 4))),
+        "upsample-conv3x3": _weighted(lambda x: conv(x, upsample=True), rng, normal((2, 2, 3, 3))),
     }
-    # drawn after the cases above so their points stay the same; the leaf
-    # is a (2, 2, 3, 3) feature map, the weight (its (18, 2) reshape) and the
-    # bias (its per-channel mean), so every VJP of conv3x3 is audited
-    w_conv = Tensor(rng.normal(size=(2, 2, 3, 3)))
-    cases["conv3x3"] = (
-        lambda x: ad.sum_(ad.mul(ad.conv3x3(x, ad.reshape(x, (18, 2)), ad.mean(x, axis=(0, 2, 3))), w_conv)),
-        rng.normal(size=(2, 2, 3, 3)),
-    )
-    # the leaf is the (2, 4, 4) token input, the weight (its batch mean) and
-    # the bias (its token mean), so every VJP of linear is audited
-    w_lin = Tensor(rng.normal(size=(2, 4, 4)))
-    cases["linear"] = (
-        lambda x: ad.sum_(ad.mul(ad.linear(x, ad.mean(x, axis=0), ad.mean(x, axis=(0, 1))), w_lin)),
-        rng.normal(size=(2, 4, 4)),
-    )
-    # drawn last, as conv3x3's case: the (2, 2, 3, 3) leaf, its (18, 2)
-    # reshape as the weight and its channel mean as the bias
-    w_up = Tensor(rng.normal(size=(2, 2, 6, 6)))
-    cases["upsample-conv3x3"] = (
-        lambda x: ad.sum_(
-            ad.mul(ad.conv3x3(x, ad.reshape(x, (18, 2)), ad.mean(x, axis=(0, 2, 3)), upsample=True), w_up)
-        ),
-        rng.normal(size=(2, 2, 3, 3)),
-    )
-    return cases
 
 
 def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
     """Max relative gradient error per audited target over ``seeds`` seeds,
-    each at ``grad_check``'s default step.  ``stage1_loss`` and
-    ``stage2_loss`` run each stage's step loss on the parameters that stage
-    trains, scored by ``grad_check_params`` over the whole step gradient."""
+    each at ``grad_check``'s default step.
+
+    One seeded loop runs every row: row ``i`` (from 1) draws seed ``s`` from
+    ``SeedSequence([1000 + s, i])``, so appending a row leaves the earlier
+    rows' draws alone.  ``primitives`` is the worst ``grad_check`` over
+    :func:`primitive_cases`.  Each module row is one :func:`_weighted` map
+    of a leaf input, scored per entry by ``grad_check``.  ``stage1_loss``
+    and ``stage2_loss`` run each stage's step loss on the parameters that
+    stage trains, scored by ``grad_check_params`` over the whole step
+    gradient."""
     if seeds < 1:
         raise ConfigError(f"seeds must be >= 1, got {seeds}")
     results: list[tuple[str, float]] = []
@@ -755,14 +755,7 @@ def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
             worst = max(worst, check(*build(rng)))
         results.append((name, worst))
 
-    # primitives: audit each kind, report the worst
-    worst_prim = 0.0
-    for s in range(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence([1000 + s, 0]))
-        for kind, (fn, point) in primitive_cases(rng).items():
-            err = ad.grad_check(fn, point)
-            worst_prim = max(worst_prim, err)
-    results.append(("primitives", worst_prim))
+    run("primitives", lambda rng: primitive_cases(rng).values(), lambda *cases: max(ad.grad_check(*c) for c in cases))
 
     # the audited modules are built the way a run builds them, at a tiny size
     tiny = RunConfig(
@@ -771,31 +764,23 @@ def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
         schedule_steps=10, beta_max=0.02,
     )
     signal_shape = (2, tiny.channels, tiny.samples)
-    feature_shape = (2, tiny.channels, tiny.temporal_dim)
     latent_shape = (2,) + tiny.grid
-
-    def weighted_sum(fn, rng, shape):
-        """``fn`` made scalar: its output times fixed weights of ``shape``
-        drawn from ``rng``, summed."""
-        w = Tensor(rng.normal(size=shape))
-        return lambda x: ad.sum_(ad.mul(fn(x), w))
 
     def build_temporal(rng):
         block = TemporalBlock(rng, tiny.samples, tiny.temporal_dim)
-        return weighted_sum(lambda x: block(x, training=True), rng, feature_shape), rng.normal(size=signal_shape)
+        return _weighted(lambda x: block(x, training=True), rng, rng.normal(size=signal_shape))
 
     run("temporal_block", build_temporal)
 
     def build_spatial(rng):
         block = SpatialBlock(rng, tiny.temporal_dim, tiny.heads)
-        return weighted_sum(block, rng, feature_shape), rng.normal(size=feature_shape)
+        return _weighted(block, rng, rng.normal(size=(2, tiny.channels, tiny.temporal_dim)))
 
     run("spatial_block", build_spatial)
 
     def build_autoencoder(rng):
         model = SignalAutoencoder(tiny.encoder_config(), rng)
-        fn = weighted_sum(lambda x: model.decode_batch(model.encode_batch(x, training=True)), rng, signal_shape)
-        return fn, rng.normal(size=signal_shape)
+        return _weighted(lambda x: model.decode_batch(model.encode_batch(x, training=True)), rng, rng.normal(size=signal_shape))
 
     run("autoencoder", build_autoencoder)
 
@@ -836,7 +821,7 @@ def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
 
     def build_adapter(rng):
         model = build_stage2_model(tiny, rng)
-        return weighted_sum(model.adapter, rng, (3, 4, 4)), rng.normal(size=(3, 4))
+        return _weighted(model.adapter, rng, rng.normal(size=(3, 4)))
 
     run("adapter", build_adapter)
 
@@ -868,8 +853,7 @@ def gradient_suite(seeds: int = 10) -> list[tuple[str, float]]:
     def build_denoise(rng):
         model = build_stage2_model(tiny, rng)
         cond = Tensor(rng.normal(size=(2, 6, 4)))
-        fn = weighted_sum(lambda x: model.denoise(x, np.array([3, 7]), cond), rng, latent_shape)
-        return fn, rng.standard_normal(latent_shape)
+        return _weighted(lambda x: model.denoise(x, np.array([3, 7]), cond), rng, rng.standard_normal(latent_shape))
 
     run("denoise", build_denoise)
 

@@ -743,16 +743,20 @@ def test_conv3x3_shape_errors(w, b, upsample):
         ad.conv3x3(Tensor(np.ones((2, 3, 4, 4))), Tensor(np.ones(w)), Tensor(np.ones(b)), upsample)
 
 
+def made_op_names() -> list[str]:
+    """Every op name that ``autodiff``'s source hands to ``_make``."""
+    return sorted({
+        call.args[-1].value
+        for call in ast.walk(ast.parse(inspect.getsource(ad)))
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_make"
+        and isinstance(call.args[-1], ast.Constant)
+    })
+
+
 def test_gradient_audit_covers_every_op(monkeypatch):
     """Every op that ``autodiff`` records lies on the gradient path of some
     audit case, so an op added without a case in ``primitive_cases`` fails."""
-    tree = ast.parse(inspect.getsource(ad))
-    defined = {
-        call.args[-1].value
-        for call in ast.walk(tree)
-        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_make"
-        and isinstance(call.args[-1], ast.Constant)
-    }
+    defined = set(made_op_names())
     recorded = set()
     make = ad._make
 
@@ -766,6 +770,20 @@ def test_gradient_audit_covers_every_op(monkeypatch):
         fn(Tensor(point, requires_grad=True))
     assert len(defined) >= 20
     assert recorded == defined
+
+
+@pytest.mark.parametrize("op", made_op_names())
+def test_gradient_audit_catches_a_one_percent_vjp_error_in_every_op(op, monkeypatch):
+    make = ad._make
+
+    def skewed_make(data, parents, vjps, name):
+        if name == op:
+            vjps = [lambda g, vjp=vjp: 1.01 * vjp(g) for vjp in vjps]
+        return make(data, parents, vjps, name)
+
+    monkeypatch.setattr(ad, "_make", skewed_make)
+    cases = primitive_cases(np.random.default_rng(0)).values()
+    assert max(ad.grad_check(fn, point) for fn, point in cases) > 1e-4
 
 
 def test_grad_check_epsilon_validation(rng):

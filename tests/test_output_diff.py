@@ -33,12 +33,18 @@ def test_identical_runs_print_nothing(tmp_path, capsys):
 def test_each_differing_record_and_column_is_reported(tmp_path, capsys):
     base = make_run(tmp_path / "base", 1.0, "a")
     change = make_run(tmp_path / "change", 1.0 + 2.0**-40, "b", extra=True)
+    # an audit table whose rows 1 to 7 move: five are named, the rest counted
+    for root, moved in ((base, 1.0), (change, 2.0)):
+        write_csv(root / "eval" / "grad_check.csv", ["target", "max_rel_error"],
+                  [[f"t{i}", moved if 0 < i < 8 else 1.0] for i in range(9)])
     assert output_diff.main([str(base), str(change)]) == 1
     lines = capsys.readouterr().out.splitlines()
     rel = 2.0**-40 / (1.0 + 2.0**-40)
     assert lines == [
-        "eval/sweep.csv: column label: no numeric cells (1 of 2 cells differ, 1 not numbers)",
-        f"eval/sweep.csv: column value: max abs {0.5 * 2.0**-40:.3g}, max rel {rel:.3g} (1 of 2 cells differ)",
+        "eval/grad_check.csv: column max_rel_error: max abs 1, max rel 0.5 (7 of 9 cells differ)"
+        " at t1, t2, t3, t4, t5 and 2 more",
+        "eval/sweep.csv: column label: no numeric cells (1 of 2 cells differ, 1 not numbers) at 2.0",
+        f"eval/sweep.csv: column value: max abs {0.5 * 2.0**-40:.3g}, max rel {rel:.3g} (1 of 2 cells differ) at 2.0",
         "extra.txt: only in change",
         f"stage2/model.bin: record a: max abs {4.0 * 2.0**-40:.3g}, max rel {rel:.3g}",
     ]

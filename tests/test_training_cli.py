@@ -270,6 +270,22 @@ def test_cfg_sweep(ws, monkeypatch):
     assert draws == [0.0, 2.0]
 
 
+def test_negative_zero_scale_is_the_zero_scale(ws, monkeypatch):
+    # -0 == 0: both draw the unguided samples, so they name one samples
+    # file, one eval-gen CSV and one cfg-sweep row
+    assert main(["sample", *ws.argv, "--scale", "-0"]) == 0
+    assert main(["eval-gen", *ws.argv, "--scale", "0"]) == 0
+    assert main(["eval-gen", *ws.argv, "--scale", "-0"]) == 0
+    draws = []
+    sample = cli.sample_latents
+    monkeypatch.setattr(cli, "sample_latents", lambda *a, **k: draws.append(a[2]) or sample(*a, **k))
+    assert main(["cfg-sweep", *ws.argv, "--scales", "0,-0", "--num", "4"]) == 0
+    assert draws == [0.0]
+    assert not list(Path(ws.cfg.out_dir).rglob("*-0.0*"))
+    for name in ("gen_scale_0.0.csv", "cfg_sweep.csv"):
+        assert [line.split(",")[0] for line in (ws.cfg.eval_dir / name).read_text().split("\n")[1:-1]] == ["0.0"]
+
+
 def test_cfg_sweep_loads_each_input_once(ws, monkeypatch):
     reads, populations = [], []
     read = signalio.read_container

@@ -11,8 +11,9 @@ whose bytes differ it prints one line per differing part:
   that differs, with its max absolute and max relative difference, and
   whether the meta differs;
 * a ``.csv`` file: each column whose cells differ, with the max absolute and
-  max relative difference over its numeric cells and the count of differing
-  cells;
+  max relative difference over its numeric cells, the count of differing
+  cells and up to five of their rows, each named by its first cell (the
+  target names of ``eval/grad_check.csv``);
 * any other file, or one that cannot be read: that it differs.
 
 The relative difference of two values is ``|a - b| / max(|a|, |b|)``.
@@ -69,8 +70,12 @@ def _number(cell: str) -> float | None:
     return value if math.isfinite(value) else None
 
 
+NAMED_ROWS = 5
+
+
 def csv_lines(base: Path, change: Path) -> list[str]:
-    """One line per column whose cells differ."""
+    """One line per column whose cells differ, naming up to
+    ``NAMED_ROWS`` of its differing rows by their first cell."""
     with open(base, newline="") as fh:
         old = list(csv.reader(fh))
     with open(change, newline="") as fh:
@@ -79,15 +84,18 @@ def csv_lines(base: Path, change: Path) -> list[str]:
         return ["header or layout differs"]
     lines = []
     for col, name in enumerate(old[0]):
-        pairs = [(o[col], n[col]) for o, n in zip(old[1:], new[1:]) if o[col] != n[col]]
-        if not pairs:
+        rows = [(o, n) for o, n in zip(old[1:], new[1:]) if o[col] != n[col]]
+        if not rows:
             continue
+        pairs = [(o[col], n[col]) for o, n in rows]
+        named = ", ".join(o[0] for o, _ in rows[:NAMED_ROWS])
+        more = f" and {len(rows) - NAMED_ROWS} more" if len(rows) > NAMED_ROWS else ""
         numbers = [(_number(o), _number(n)) for o, n in pairs]
         numeric = np.array([p for p in numbers if None not in p]).reshape(-1, 2)
         text = len(pairs) - len(numeric)
         gaps = _gaps(numeric[:, 0], numeric[:, 1]) if len(numeric) else "no numeric cells"
         lines.append(f"column {name}: {gaps} ({len(pairs)} of {len(old) - 1} cells differ"
-                     + (f", {text} not numbers)" if text else ")"))
+                     + (f", {text} not numbers)" if text else ")") + f" at {named}{more}")
     return lines
 
 
