@@ -11,11 +11,11 @@ Design notes:
 * everything is float64; inputs are coerced on construction,
 * the non-finite probe runs where a NaN/Inf can be born: on every leaf and
   on every op that can turn finite inputs non-finite (arithmetic,
-  ``exp``/``log``/``power``, ``matmul``/``linear``, reductions and
-  normalizers), which raises :class:`NonFiniteError` naming the op
-  (overflowing ops error rather than clamp).  Copy, selection and bounded
-  ops (:data:`FINITE_PRESERVING`) skip it: their inputs were probed when
-  they were made,
+  ``exp``/``log``/``power``, ``matmul``/``linear``/``attention``,
+  reductions and normalizers), which raises :class:`NonFiniteError`
+  naming the op (overflowing ops error rather than clamp).  Copy,
+  selection and bounded ops (:data:`FINITE_PRESERVING`) skip it: their
+  inputs were probed when they were made,
 * an op extends the graph only when some input has ``requires_grad`` and
   gradients are enabled; inside :func:`no_grad` no op records parents, so
   eval-mode passes build no graph,
@@ -26,7 +26,9 @@ Design notes:
 * one rule decides who gets a gradient: the engine runs a parent's VJP,
   unbroadcasts its result and accumulates it only when that parent has
   ``requires_grad``, so frozen weights and constants cost no backward work
-  (the activity analysis of Griewank & Walther).  No op repeats that check,
+  (the activity analysis of Griewank & Walther).  No op repeats that check
+  to skip work; ``attention`` reads it only to know whether its ``k`` VJP
+  will take the score gradient that its ``q`` VJP computed,
 * graphs are acyclic: a VJP receives the output gradient as its argument
   and holds input tensors and arrays, never its own output, so reference
   counting frees a graph as soon as its root is dropped,
@@ -42,17 +44,21 @@ Design notes:
   accumulating, so calling it twice yields identical results.
 
 Primitives: elementwise ``add``/``sub``/``mul``/``div``/``power``/``exp``/
-``log``/``abs_``/``minimum``/``relu``/``sigmoid``; ``matmul``; ``linear``,
-the affine map behind ``nn.Linear``; ``conv3x3``, the same-padding 3x3
-convolution behind ``diffusion.Conv3x3``, which with ``upsample`` convolves
-the nearest-neighbour 2x upsampled input at the input's resolution (the
+``log``/``abs_``/``minimum``/``relu``/``sigmoid``; ``linear``, the affine
+map behind ``nn.Linear``; ``conv3x3``, the same-padding 3x3 convolution
+behind ``diffusion.Conv3x3``, which with ``upsample`` convolves the
+nearest-neighbour 2x upsampled input at the input's resolution (the
 denoiser's ``up`` layer) and whose graph keeps its input and weight but
-never a patch matrix or folded kernel; reductions and normalizers
-``sum_``/``mean``/``softmax``/``cosine_similarity`` and ``standardize``,
-behind ``nn.LayerNorm`` and ``nn.BatchNorm``; and structural ``reshape``/
-``transpose``/``concat``.  ``pad_last2``/``crop_last2`` no longer serve
-any model: they remain only because the benchmark tracer wraps them by name
-and the reference ``Conv3x3`` of the tests is built from them.
+never a patch matrix or folded kernel; ``attention``, the multi-head
+scaled dot-product attention behind ``encoder.SpatialBlock`` and
+``diffusion.CrossAttention``, whose graph keeps its probabilities but never
+its scores; reductions and normalizers ``sum_``/``mean``/
+``cosine_similarity`` and ``standardize``, behind ``nn.LayerNorm`` and
+``nn.BatchNorm``; and structural ``reshape``/``transpose``/``concat``.
+``matmul``, ``softmax`` and ``pad_last2``/``crop_last2`` no longer serve
+any model: they remain only because the benchmark tracer wraps them by
+name, and the tests' reference attention and ``Conv3x3`` are built from
+them.
 """
 
 from __future__ import annotations
@@ -427,6 +433,88 @@ def softmax(x, axis: int = -1) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
     return _make(y, (x,), (lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)),), "softmax")
+
+
+def attention(q, k, v, heads: int) -> Tensor:
+    """Scaled dot-product attention over ``heads`` heads as one node.
+
+    ``q`` is (B, Nq, W) and ``k``, ``v`` are (B, Nk, W), already projected;
+    the result is (B, Nq, W) with the heads merged back in order.  The
+    forward pass makes the numpy calls of the split, ``matmul``, ``mul``,
+    ``softmax``, ``matmul`` and merge composite it replaces, in its order,
+    so its values are the composite's; every step after the score GEMM works
+    in place on the one (B, heads, Nq, Nk) score array, which is probed once,
+    before the softmax can turn an infinite score into a finite output.  The
+    VJPs keep ``q``, ``k``, ``v`` and the probabilities ``p``, never the
+    scores (recompute instead of store, as in FlashAttention, Dao et al.
+    2022), and their products are the composite's, operand layouts included:
+
+    * ``v``: ``p.T @ g``, per head;
+    * ``q`` and ``k``: the score gradient ``s = p * (g_p - sum(g_p * p)) *
+      scale`` with ``g_p = g @ v.T``, then ``s @ k`` and ``q.T @ s``.  The
+      ``q`` VJP runs first and leaves ``s`` to the ``k`` VJP when that one
+      runs, so a backward computes it once and holds it no longer than the
+      node's VJPs.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or k.shape[::2] != q.shape[::2]:
+        raise ShapeError(f"attention needs q (B, Nq, W) and k, v (B, Nk, W), got {q.shape}, {k.shape}, {v.shape}")
+    b, nq, width = q.shape
+    if heads < 1 or width % heads:
+        raise ShapeError(f"attention width {width} is not divisible by {heads} heads")
+    head_dim = width // heads
+    scale = 1.0 / np.sqrt(head_dim)
+
+    def split(x: np.ndarray) -> np.ndarray:
+        """The (B, heads, N, head_dim) view of a (B, N, W) array."""
+        return x.reshape(x.shape[0], x.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+
+    def merge(x: np.ndarray) -> np.ndarray:
+        """The (B, N, W) copy of a (B, heads, N, head_dim) array."""
+        return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], width)
+
+    qs, ks, vs = split(q.data), split(k.data), split(v.data)
+    # the score GEMM may overflow: the probe names the op
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.matmul(qs, ks.transpose(0, 1, 3, 2))
+        _check_finite(p, "attention")
+        np.multiply(p, scale, out=p)
+        # the row max as softmax takes it, then shift, exp and normalize
+        row_max = np.array(p[..., 0])
+        for j in range(1, p.shape[-1]):
+            np.maximum(row_max, p[..., j], out=row_max)
+        np.subtract(p, row_max[..., None], out=p)
+        np.exp(p, out=p)
+        np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
+        out = merge(np.matmul(p, vs))
+
+    def g_heads(g):
+        """The output gradient per head, in the contiguous copy the
+        composite's merge VJPs made."""
+        return np.ascontiguousarray(split(g))
+
+    def score_grad(g):
+        s = np.matmul(g_heads(g), vs.transpose(0, 1, 3, 2))
+        np.subtract(s, (s * p).sum(axis=-1, keepdims=True), out=s)
+        np.multiply(p, s, out=s)
+        return np.multiply(s, scale, out=s)
+
+    pending: list[np.ndarray] = []  # the q VJP's score gradient, until the k VJP takes it
+
+    def q_vjp(g):
+        s = score_grad(g)
+        if k.requires_grad:
+            pending.append(s)
+        return merge(np.matmul(s, ks))
+
+    def k_vjp(g):
+        s = pending.pop() if pending else score_grad(g)
+        return merge(np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), s), -1, -2))
+
+    def v_vjp(g):
+        return merge(np.matmul(np.swapaxes(p, -1, -2), g_heads(g)))
+
+    return _make(out, (q, k, v), (q_vjp, k_vjp, v_vjp), "attention")
 
 
 def standardize(x, axis, eps: float) -> Tensor:

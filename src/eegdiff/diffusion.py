@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import ShapeError, Tensor, as_tensor
 from .encoder import mean_pool_latent
 from .losses import cfg_combine, v_loss
-from .nn import ConfigError, LayerNorm, Linear, Module, glorot_uniform, multi_head_attention
+from .nn import ConfigError, LayerNorm, Linear, Module, glorot_uniform
 
 ADAPTER_TOKENS = 4
 TIMESTEP_MAX_PERIOD = 10000.0
@@ -167,7 +167,7 @@ class CrossAttention(Module):
     def __call__(self, x: Tensor, cond: Tensor) -> Tensor:
         b, c, h, w = x.shape
         tokens = x.transpose(0, 2, 3, 1).reshape(b, h * w, c)
-        merged = multi_head_attention(self.q(self.norm(tokens)), self.k(cond), self.v(cond), self.heads)
+        merged = ad.attention(self.q(self.norm(tokens)), self.k(cond), self.v(cond), self.heads)
         y = ad.add(tokens, self.out(merged))
         return y.reshape(b, h, w, c).transpose(0, 3, 1, 2)
 

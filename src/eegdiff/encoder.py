@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ShapeError, Tensor
-from .nn import BatchNorm, LayerNorm, Linear, Module, multi_head_attention
+from .nn import BatchNorm, LayerNorm, Linear, Module
 
 
 @dataclass
@@ -67,7 +67,7 @@ class SpatialBlock(Module):
     def __call__(self, x: Tensor) -> Tensor:
         if x.ndim != 3:
             raise ShapeError(f"spatial block expects (batch, channels, width), got {x.shape}")
-        merged = multi_head_attention(self.q(x), self.k(x), self.v(x), self.heads)
+        merged = ad.attention(self.q(x), self.k(x), self.v(x), self.heads)
         return self.norm(ad.add(x, self.out(merged)))
 
 

@@ -1,4 +1,4 @@
-"""Small trainable layers and multi-head attention on the autodiff engine.
+"""Small trainable layers on the autodiff engine.
 
 Every layer subclasses :class:`Module`, which names its parameters and
 buffers from its attributes, so each checkpoint record name is decided in
@@ -96,24 +96,6 @@ class Linear(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.w, self.b)
-
-
-def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Scaled dot-product attention over ``heads`` heads.
-
-    ``q`` is (B, Nq, W) and ``k``, ``v`` are (B, Nk, W), already projected;
-    the result is (B, Nq, W) with the heads merged back in order.
-    """
-    b, n, width = q.shape
-    head_dim = width // heads
-
-    def split(x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], x.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
-
-    q, k, v = split(q), split(k), split(v)
-    scores = ad.mul(ad.matmul(q, k.transpose(0, 1, 3, 2)), 1.0 / np.sqrt(head_dim))
-    att = ad.matmul(ad.softmax(scores, axis=-1), v)
-    return att.transpose(0, 2, 1, 3).reshape(b, n, width)
 
 
 class LayerNorm(Module):

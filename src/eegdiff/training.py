@@ -235,6 +235,8 @@ class RunConfig:
             )
         if not math.isfinite(self.guidance_scale):
             raise ConfigError(f"guidance_scale must be finite, got {self.guidance_scale}")
+        # -0 is the scale 0: one value, so one samples file with one meta
+        self.guidance_scale += 0.0
         try:
             n_val, n_test = split_sizes(self.per_class, self.val_frac, self.test_frac)
         except DataError as exc:
@@ -690,7 +692,9 @@ def primitive_cases(rng: np.random.Generator) -> dict:
     at the end leaves the draws of every case before it alone.  ``const``
     and matmul's right operand are op inputs, drawn first.  The conv3x3 and
     linear leaves are also the op's weight (a reshape or a batch mean) and
-    bias (a channel or token mean), so every VJP of those ops is audited."""
+    bias (a channel or token mean), and the attention leaf is its queries and,
+    shifted and scaled by ``const``, its keys and values, so every VJP of
+    those ops is audited."""
     const = Tensor(_offset_from_zero(rng.normal(size=(3, 4))))
     right = Tensor(rng.normal(size=(4, 2)))
 
@@ -728,6 +732,7 @@ def primitive_cases(rng: np.random.Generator) -> dict:
         "conv3x3": _weighted(conv, rng, normal((2, 2, 3, 3))),
         "linear": _weighted(lambda x: ad.linear(x, ad.mean(x, axis=0), ad.mean(x, axis=(0, 1))), rng, normal((2, 4, 4))),
         "upsample-conv3x3": _weighted(lambda x: conv(x, upsample=True), rng, normal((2, 2, 3, 3))),
+        "attention": _weighted(lambda x: ad.attention(x, ad.add(x, const), ad.mul(x, const), 2), rng, normal((2, 3, 4))),
     }
 
 

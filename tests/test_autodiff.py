@@ -14,7 +14,9 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from conftest import tiny_config
 from eegdiff import autodiff as ad
 from eegdiff.autodiff import NonFiniteError, ShapeError, Tensor
-from eegdiff.diffusion import Conv3x3, apply_train_mask, selective_finetune_mask, stage2_step_loss, stage2_train_step
+from eegdiff.diffusion import (
+    ADAPTER_TOKENS, Conv3x3, apply_train_mask, selective_finetune_mask, stage2_step_loss, stage2_train_step,
+)
 from eegdiff.encoder import SignalAutoencoder
 from eegdiff.losses import v_loss
 from eegdiff.training import Adam, RunConfig, build_stage2_model, gradient_suite, primitive_cases, stage1_step_loss
@@ -98,6 +100,7 @@ MULTI_PARENT = {
     "linear": (ad.linear, [(2, 3, 4), (4, 5), (5,)]),
     "conv3x3": (ad.conv3x3, [(2, 3, 4, 5), (27, 2), (2,)]),
     "upsample_conv3x3": (functools.partial(ad.conv3x3, upsample=True), [(2, 3, 2, 3), (27, 2), (2,)]),
+    "attention": (functools.partial(ad.attention, heads=2), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
     "minimum": (ad.minimum, [(3, 4), (1, 4)]),
     "cosine_similarity": (ad.cosine_similarity, [(3, 1, 5), (1, 4, 5)]),
     "concat": (lambda *parts: ad.concat(parts, axis=1), [(2, 1, 3), (2, 2, 3), (2, 3, 3)]),
@@ -247,7 +250,9 @@ def test_backward_keeps_only_leaf_gradients():
     params = model.params()
     loss = stage1_loss(model, cfg, rng)
     inner = [node for node in keep_all_backward(loss) if node._backward is not None]
-    assert len(inner) > 100 and all(node.grad is not None for node in inner)
+    assert all(node.grad is not None for node in inner)
+    # the walk reached the first layer
+    assert all(p.grad is not None for p in model.temporal.params().values())
     reference = _bytes({name: p.grad for name, p in params.items()})
 
     loss.backward()
@@ -486,7 +491,9 @@ def _retained_arrays(root: Tensor):
     return found
 
 
-def test_stage2_graph_holds_no_patch_matrix():
+def stage2_loss():
+    """The default config, its stage-2 model with the finetune mask applied,
+    and the v-loss of one random batch."""
     cfg = RunConfig()
     rng = np.random.default_rng(3)
     model = build_stage2_model(cfg, rng)
@@ -495,7 +502,12 @@ def test_stage2_graph_holds_no_patch_matrix():
     x0 = rng.normal(size=(b,) + cfg.grid)
     cond = model.condition(rng.normal(size=(b, cfg.latent_tokens, cfg.latent_dim)))
     t = rng.integers(0, model.schedule.steps, size=b)
-    loss = v_loss(Tensor(x0), Tensor(rng.normal(size=x0.shape)), t, cond, model.denoise, model.schedule)
+    return cfg, model, v_loss(Tensor(x0), Tensor(rng.normal(size=x0.shape)), t, cond, model.denoise, model.schedule)
+
+
+def test_stage2_graph_holds_no_patch_matrix():
+    cfg, model, loss = stage2_loss()
+    b = cfg.batch_size
     _, h, w = cfg.grid
     patch_shapes = {
         (b * (h // scale) * (w // scale), 9 * conv.c_in)
@@ -508,7 +520,8 @@ def test_stage2_graph_holds_no_patch_matrix():
     up = model.denoiser.up
     patch_shapes.add((b * (h // 2) * (w // 2), 4 * up.c_in))
     arrays = _retained_arrays(loss)
-    assert len(arrays) > 100  # the walk reached the denoiser
+    # the walk reached the denoiser's first trained weight
+    assert any(a is model.denoiser.xattn1.k.w.data for a in arrays)
     assert not [a.shape for a in arrays if a.shape in patch_shapes or a.shape[::-1] in patch_shapes]
     # nor up's folded phase kernels, nor any array shaped like a conv weight
     # but the weight itself: the VJPs fold the kernels again from w
@@ -516,6 +529,94 @@ def test_stage2_graph_holds_no_patch_matrix():
     kernel_shapes = {(4 * up.c_in, up.c_out)} | {conv.w.shape for conv in convs}
     kernels = [a for a in arrays if a.shape in kernel_shapes or a.shape[::-1] in kernel_shapes]
     assert not [a.shape for a in kernels if not any(a is conv.w.data for conv in convs)]
+
+
+def composite_attention(q, k, v, heads):
+    """The 13-node attention ``ad.attention`` replaced: head splits, the
+    key transpose, the score ``matmul``, the scale ``mul``, ``softmax``, the
+    value ``matmul`` and the head merge."""
+    b, n, width = q.shape
+    head_dim = width // heads
+
+    def split(x):
+        return x.reshape(x.shape[0], x.shape[1], heads, head_dim).transpose(0, 2, 1, 3)
+
+    q, k, v = split(q), split(k), split(v)
+    scores = ad.mul(ad.matmul(q, k.transpose(0, 1, 3, 2)), 1.0 / np.sqrt(head_dim))
+    att = ad.matmul(ad.softmax(scores, axis=-1), v)
+    return att.transpose(0, 2, 1, 3).reshape(b, n, width)
+
+
+# (Nq, Nk, W, heads): the encoder's self-attention, then the denoiser's two
+# cross-attentions
+ATTENTION_SHAPES = [(16, 16, 128, 8), (64, 12, 32, 4), (16, 12, 32, 4)]
+
+
+# batch 16 is the training batch and 64 the sampler batch; stage 2 trains
+# only the k and v projections, so its backward runs only their VJPs; with
+# q alone, its VJP keeps no score gradient for the k VJP
+@pytest.mark.parametrize("trained", ["qkv", "kv", "q"])
+@pytest.mark.parametrize("batch", [1, 16, 64])
+@pytest.mark.parametrize("nq,nk,width,heads", ATTENTION_SHAPES)
+def test_attention_matches_composite(nq, nk, width, heads, batch, trained):
+    rng = np.random.default_rng(np.random.SeedSequence([nq, nk, width, batch]))
+    values = [rng.normal(size=(batch, n, width)) for n in (nq, nk, nk)]
+    weight = rng.normal(size=(batch, nq, width))
+    runs = []
+    for fn in (ad.attention, composite_attention):
+        inputs = [Tensor(v, requires_grad=name in trained) for name, v in zip("qkv", values)]
+        y = fn(*inputs, heads)
+        ad.sum_(ad.mul(y, weight)).backward()
+        runs.append([y.data] + [t.grad for t in inputs])
+        if fn is ad.attention:
+            assert y._op == "attention" and y._parents == tuple(inputs)
+            # of the 4-D arrays the node holds after its backward, only the
+            # probabilities are not views of its inputs
+            assert [a.shape for a in _retained_arrays(y) if a.ndim == 4 and a.base is None] == [(batch, heads, nq, nk)]
+    assert runs[0][0].strides == runs[1][0].strides
+    for new, old in zip(*runs):
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert np.array_equal(new, old)
+    assert [grad is not None for grad in runs[0][1:]] == [name in trained for name in "qkv"]
+
+
+def test_stage2_graph_holds_one_score_array_per_attention():
+    """The scores and scaled scores are gone: each attention node keeps only
+    its probabilities, before and after the backward."""
+    cfg, model, loss = stage2_loss()
+    h, w = cfg.grid[1:]
+    heads, tokens = cfg.attn_heads, cfg.latent_tokens + ADAPTER_TOKENS
+    score_shapes = [(cfg.batch_size, heads, h * w, tokens), (cfg.batch_size, heads, h * w // 4, tokens)]
+    for _ in range(2):
+        counts = [sum(a.shape == shape for a in _retained_arrays(loss)) for shape in score_shapes]
+        assert counts == [1, 1]
+        loss.backward()
+
+
+def test_attention_probes_its_scores():
+    # one score of the first row overflows to -inf; the softmax would give
+    # that key weight 0 and every output would stay finite
+    q = Tensor([[[1e200, 0.0], [0.0, 1.0]]])
+    k = Tensor([[[-1e200, 0.0], [0.0, 1.0]]])
+    with pytest.raises(NonFiniteError, match="attention"):
+        ad.attention(q, k, Tensor(np.ones((1, 2, 2))), 1)
+
+
+@pytest.mark.parametrize(
+    "q,k,v,heads",
+    [
+        ((2, 3, 4), (2, 5, 4), (2, 4, 4), 2),  # k and v differ
+        ((2, 3, 4), (1, 5, 4), (1, 5, 4), 2),  # batch
+        ((2, 3, 4), (2, 5, 6), (2, 5, 6), 2),  # width
+        ((3, 4), (3, 4), (3, 4), 2),  # no batch axis
+        ((2, 3, 4), (2, 5, 4), (2, 5, 4), 3),  # heads do not divide the width
+        ((2, 3, 4), (2, 5, 4), (2, 5, 4), 0),
+    ],
+)
+def test_attention_shape_errors(q, k, v, heads):
+    with pytest.raises(ShapeError):
+        ad.attention(Tensor(np.ones(q)), Tensor(np.ones(k)), Tensor(np.ones(v)), heads)
 
 
 def reference_upsample2(x):

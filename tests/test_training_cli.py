@@ -286,6 +286,17 @@ def test_negative_zero_scale_is_the_zero_scale(ws, monkeypatch):
         assert [line.split(",")[0] for line in (ws.cfg.eval_dir / name).read_text().split("\n")[1:-1]] == ["0.0"]
 
 
+def test_negative_zero_scale_writes_the_zero_scale_bytes(ws):
+    # the samples meta records the scale: -0 must not be written as -0.0
+    assert str(RunConfig(guidance_scale=-0.0).validate().guidance_scale) == "0.0"
+    path = ws.cfg.samples_path(0.0)
+    written = []
+    for scale in ("0", "-0"):
+        assert main(["sample", *ws.argv, "--scale", scale]) == 0
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_cfg_sweep_loads_each_input_once(ws, monkeypatch):
     reads, populations = [], []
     read = signalio.read_container
